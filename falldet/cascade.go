@@ -91,7 +91,7 @@ func (cd *CascadeDetector) Fallback() *Detector { return cd.fallback }
 // Both models' inference costs are sized against the deployment device
 // so the supervisor's cycle budget is enforced from construction.
 func (cd *CascadeDetector) Stream() (*StreamCascade, error) {
-	return cd.streamWith(cd.primary.model, cd.fallback.model)
+	return cd.streamWith(compiledAt[float64](cd.primary), compiledAt[float64](cd.fallback))
 }
 
 // streamWith builds the cascade around explicit classifiers — the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/artifact"
@@ -25,6 +26,18 @@ type Detector struct {
 	cfg   Config
 	kind  Kind
 	model model.Trainable
+
+	// compiled holds model compiled for streaming, one entry per
+	// width (see compiledAt). A Detector is immutable once Train or
+	// Load* returns, so the first pipeline at a width compiles and
+	// every later one shares the program read-only.
+	compiled [2]lazyClassifier
+}
+
+// lazyClassifier is a classifier built on first use.
+type lazyClassifier struct {
+	once sync.Once
+	clf  model.Classifier
 }
 
 // Train fits a detector of the given family on the whole dataset,
@@ -108,7 +121,7 @@ func (det *Detector) Evaluate(segs []Segment) nn.Confusion {
 
 // Stream wraps the detector in the real-time on-device pipeline.
 func (det *Detector) Stream() (*StreamDetector, error) {
-	return det.streamWith(det.model)
+	return det.streamWith(compiledAt[float64](det))
 }
 
 // streamWith builds the streaming pipeline around an explicit

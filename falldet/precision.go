@@ -15,10 +15,12 @@ import (
 // Precision selects the compiled scalar width of a streaming pipeline.
 // Training always runs float64 and produces one float64 checkpoint;
 // the precision choice is made at deployment time, when the detector
-// is wrapped in a streaming pipeline — a float32 pipeline lowers the
-// checkpoint's weights once at construction and scores every window in
-// single precision. See DESIGN.md §14 for what stays float64 at every
-// width (filter accumulators, sensor health, training, metrics).
+// is wrapped in a streaming pipeline. Each Detector compiles its model
+// once per width, on the first pipeline at that width — at float32
+// that lowers the checkpoint's weights — and every pipeline built from
+// it shares the compiled program read-only, keeping only its own rings.
+// See DESIGN.md §14 for what stays float64 at every width (filter
+// accumulators, sensor health, training, metrics).
 type Precision int
 
 const (
@@ -63,32 +65,58 @@ type (
 )
 
 // StreamF32 wraps the detector in a float32 streaming pipeline: the
-// float64 checkpoint's weights are lowered once here, and every
-// subsequent window scores in single precision. The float64 training
-// artefact is untouched — Stream and StreamF32 can coexist on one
-// Detector.
+// float64 checkpoint's weights are lowered on the first call and
+// shared by every later one, and every window scores in single
+// precision. The float64 training artefact is untouched — Stream and
+// StreamF32 can coexist on one Detector.
 func (det *Detector) StreamF32() (*StreamDetectorF32, error) {
-	return streamAt[float32](det, det.model)
+	return streamAt[float32](det, compiledAt[float32](det))
 }
 
 // streamAt is streamWith at an arbitrary compiled width.
 func streamAt[S tensor.Scalar](det *Detector, clf model.Classifier) (*edge.DetectorOf[S], error) {
-	thr := det.cfg.Threshold
-	if thr == 0 {
-		thr = edge.ThresholdAlways
+	cfg := det.edgeConfig()
+	if cfg.Threshold == 0 {
+		cfg.Threshold = edge.ThresholdAlways
 	}
-	return edge.NewDetectorOf[S](clf, edge.DetectorConfig{
+	return edge.NewDetectorOf[S](clf, cfg)
+}
+
+// edgeConfig is the streaming geometry and threshold det was trained
+// or loaded with.
+func (det *Detector) edgeConfig() edge.DetectorConfig {
+	return edge.DetectorConfig{
 		WindowMS:  det.cfg.WindowMS,
 		Overlap:   det.cfg.Overlap,
-		Threshold: thr,
+		Threshold: det.cfg.Threshold,
+	}
+}
+
+// compiledAt returns det's classifier for pipelines at width S: its
+// model compiled for streaming on the first call at S (edge.CompileOf)
+// and shared read-only by every pipeline since, or the bare model when
+// it has no streaming form.
+func compiledAt[S tensor.Scalar](det *Detector) model.Classifier {
+	lc := &det.compiled[0]
+	if !tensor.Is64[S]() {
+		lc = &det.compiled[1]
+	}
+	lc.once.Do(func() {
+		lc.clf = det.model
+		if nm, ok := det.model.(*model.NetModel); ok {
+			if c, err := edge.CompileOf[S](nm, det.edgeConfig()); err == nil {
+				lc.clf = c
+			}
+		}
 	})
+	return lc.clf
 }
 
 // StreamF32 instantiates the supervised cascade at float32; both CNN
-// tiers lower their weights at construction, the threshold floor and
-// the supervisor are width-independent.
+// tiers are lowered on the first call and shared by every later one,
+// and the threshold floor and the supervisor are width-independent.
 func (cd *CascadeDetector) StreamF32() (*StreamCascadeF32, error) {
-	return cascadeStreamAt[float32](cd, cd.primary.model, cd.fallback.model)
+	return cascadeStreamAt[float32](cd, compiledAt[float32](cd.primary), compiledAt[float32](cd.fallback))
 }
 
 // cascadeStreamAt is CascadeDetector.streamWith at an arbitrary
@@ -129,7 +157,7 @@ func evalRobustnessAt[S tensor.Scalar](det *Detector, d *Dataset, cfg Robustness
 	}
 	dets := make([]*edge.DetectorOf[S], w)
 	for i := range dets {
-		clf := model.Classifier(det.model)
+		clf := compiledAt[S](det)
 		if nm, ok := det.model.(*model.NetModel); ok && i > 0 {
 			clf = nm.Clone()
 		}
@@ -151,8 +179,7 @@ func evalCascadeRobustnessAt[S tensor.Scalar](cd *CascadeDetector, d *Dataset, c
 	}
 	cs := make([]*cascade.CascadeOf[S], w)
 	for i := range cs {
-		primary := model.Classifier(cd.primary.model)
-		fallback := model.Classifier(cd.fallback.model)
+		primary, fallback := compiledAt[S](cd.primary), compiledAt[S](cd.fallback)
 		if i > 0 {
 			if nm, ok := cd.primary.model.(*model.NetModel); ok {
 				primary = nm.Clone()

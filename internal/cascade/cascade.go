@@ -142,11 +142,11 @@ func New(primary, fallback model.Classifier, cfg Config) (*Cascade, error) {
 }
 
 // NewOf builds the cascade at scalar width S; see DESIGN.md §14 for
-// the precision model. The float32 instantiation requires both CNN
-// tiers to be streamable (edge.NewDetectorOf lowers their weights at
-// attach time); a fallback the float32 streamer cannot compile keeps
-// scoring in batch form through an exact widening, like any other
-// unattached classifier.
+// the precision model. Tiers passed as *edge.CompiledOf stream from
+// their shared compiled programs, so the cascade allocates only its
+// own rings; bare network models are compiled for this cascade alone.
+// A fallback the streamer cannot compile keeps scoring in batch form
+// through an exact widening, like any other unattached classifier.
 func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*CascadeOf[S], error) {
 	if primary == nil {
 		return nil, fmt.Errorf("cascade: nil primary classifier")
@@ -181,12 +181,14 @@ func NewOf[S tensor.Scalar](primary, fallback model.Classifier, cfg Config) (*Ca
 		t2:        newTier2(),
 		budget:    dev.ClockHz / dataset.SampleRate,
 	}
-	if fallback != nil {
+	if fallback != nil && !det.AttachStream(fallback) {
 		// Best-effort: a fallback the streamer cannot cache (MLP,
 		// recurrent) simply keeps scoring in batch form via
 		// ScoreWindow, bit-identically. The primary is attached by
 		// NewDetector itself.
-		det.AttachStream(fallback)
+		if _, ok := fallback.(*edge.CompiledOf[S]); ok {
+			return nil, fmt.Errorf("cascade: fallback was compiled for another stream geometry")
+		}
 	}
 	c.perSample[TierPrimary] = dev.FusionCyclesPerSample + inferenceCycles(dev, cfg.PrimaryCost)
 	c.perSample[TierFallback] = dev.FusionCyclesPerSample + inferenceCycles(dev, cfg.FallbackCost)

@@ -169,18 +169,69 @@ func NewDetector(clf model.Classifier, cfg DetectorConfig) (*Detector, error) {
 	return NewDetectorOf[float64](clf, cfg)
 }
 
-// NewDetectorOf builds the pipeline at scalar width S. At float32 the
-// classifier's network weights are lowered once at attach time (see
-// AttachStream); classifiers without an attachable incremental scorer
-// fall back to batch scoring through an exact float64 widening of the
-// assembled window.
-func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*DetectorOf[S], error) {
-	win := cfg.WindowMS * dataset.SampleRate / 1000
+// geometry resolves cfg's sliding window and stride in samples.
+func (cfg DetectorConfig) geometry() (win, step int, err error) {
+	win = cfg.WindowMS * dataset.SampleRate / 1000
 	if win < 2 {
-		return nil, fmt.Errorf("edge: window %d ms too short", cfg.WindowMS)
+		return 0, 0, fmt.Errorf("edge: window %d ms too short", cfg.WindowMS)
 	}
 	if cfg.Overlap < 0 || cfg.Overlap >= 1 {
-		return nil, fmt.Errorf("edge: overlap %g outside [0,1)", cfg.Overlap)
+		return 0, 0, fmt.Errorf("edge: overlap %g outside [0,1)", cfg.Overlap)
+	}
+	return win, dsp.Step(win, cfg.Overlap), nil
+}
+
+// streamConfig is the nn stream geometry of a detector with the given
+// window and stride. The detector re-bases yaw per window (see
+// assembleWindow); the streamer recomputes branches reading it in
+// batch form.
+func streamConfig(win, step int) nn.StreamConfig {
+	return nn.StreamConfig{InCh: imu.NumChannels, Window: win, Step: step, RebaseCols: []int{imu.EulerYaw}}
+}
+
+// CompiledOf is a network classifier together with its streaming
+// program (nn.ProgramOf), compiled at width S for one detector
+// geometry. It is immutable: every DetectorOf[S] built around it —
+// through NewDetectorOf, AttachStream or cascade.NewOf — streams from
+// the one read-only program and owns only its rings, so pipelines on
+// different goroutines may share it. The embedded model keeps its
+// batch Score, which writes the network's layer scratch and so, like
+// Network.Predict, must stay on one goroutine; a pipeline never calls
+// it, because it scores only on the stride grid the program streams.
+type CompiledOf[S tensor.Scalar] struct {
+	*model.NetModel
+	prog *nn.ProgramOf[S]
+}
+
+// CompileOf compiles nm's network once, at width S, for pipelines
+// built with cfg's window and overlap. It fails when the network has
+// no streaming form at that geometry; such a model scores in batch
+// form and has nothing to share.
+func CompileOf[S tensor.Scalar](nm *model.NetModel, cfg DetectorConfig) (*CompiledOf[S], error) {
+	win, step, err := cfg.geometry()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := nn.CompileOf[S](nm.Net, streamConfig(win, step))
+	if err != nil {
+		return nil, err
+	}
+	if !prog.Streaming() {
+		return nil, fmt.Errorf("edge: %s has no streaming branch at a %d-sample stride", nm.Name(), step)
+	}
+	return &CompiledOf[S]{NetModel: nm, prog: prog}, nil
+}
+
+// NewDetectorOf builds the pipeline at scalar width S. A *CompiledOf
+// classifier streams from its shared program; a bare network model is
+// compiled here, for this pipeline alone (see AttachStream).
+// Classifiers without an attachable incremental scorer fall back to
+// batch scoring through an exact float64 widening of the assembled
+// window.
+func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*DetectorOf[S], error) {
+	win, step, err := cfg.geometry()
+	if err != nil {
+		return nil, err
 	}
 	thr := cfg.Threshold
 	switch {
@@ -202,7 +253,7 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 	}
 	d := &DetectorOf[S]{
 		Window:       win,
-		Step:         dsp.Step(win, cfg.Overlap),
+		Step:         step,
 		Threshold:    thr,
 		clf:          clf,
 		fusion:       imu.MustNewFusion(dataset.SampleRate, 0.5),
@@ -236,39 +287,46 @@ func NewDetectorOf[S tensor.Scalar](clf model.Classifier, cfg DetectorConfig) (*
 		}
 	}
 	d.syncStride()
-	d.AttachStream(clf)
+	if !d.AttachStream(clf) {
+		if _, ok := clf.(*CompiledOf[S]); ok {
+			return nil, fmt.Errorf("edge: classifier was compiled for another stream geometry")
+		}
+	}
 	return d, nil
 }
 
 // AttachStream attaches an incremental scorer (nn.Streamer) to clf:
 // subsequent ScoreWindow(clf) calls at aligned strides answer from
 // cached per-layer rings instead of re-running the network over the
-// whole window, bit-identically. It returns false — and the
-// classifier keeps scoring in batch form — when clf is not a network
-// model or its topology cannot be cached (MLP, recurrent, misaligned
-// pooling). Attaching the same classifier twice is a no-op.
+// whole window, bit-identically. A *CompiledOf classifier lends its
+// shared program, so only the stream's rings are allocated; a bare
+// *model.NetModel is compiled for this detector alone. It returns
+// false — and the classifier keeps scoring in batch form — when clf is
+// neither, when its topology cannot be cached (MLP, recurrent,
+// misaligned pooling), or when it was compiled for another geometry.
+// Attaching the same classifier twice is a no-op.
 func (d *DetectorOf[S]) AttachStream(clf model.Classifier) bool {
 	for i := range d.streams {
 		if d.streams[i].clf == clf {
 			return true
 		}
 	}
-	nm, ok := clf.(*model.NetModel)
-	if !ok {
+	var prog *nn.ProgramOf[S]
+	cfg := streamConfig(d.Window, d.Step)
+	switch c := clf.(type) {
+	case *CompiledOf[S]:
+		if c.prog.Fits(cfg) {
+			prog = c.prog
+		}
+	case *model.NetModel:
+		if p, err := nn.CompileOf[S](c.Net, cfg); err == nil && p.Streaming() {
+			prog = p
+		}
+	}
+	if prog == nil {
 		return false
 	}
-	st, err := nn.NewStreamerOf[S](nm.Net, nn.StreamConfig{
-		InCh:   imu.NumChannels,
-		Window: d.Window,
-		Step:   d.Step,
-		// The detector re-bases yaw per window (see assembleWindow);
-		// the streamer recomputes branches reading it in batch form.
-		RebaseCols: []int{imu.EulerYaw},
-	})
-	if err != nil || !st.Streaming() {
-		return false
-	}
-	d.streams = append(d.streams, attachedStreamOf[S]{clf: clf, st: st})
+	d.streams = append(d.streams, attachedStreamOf[S]{clf: clf, st: prog.NewStreamer()})
 	d.rebuildStream(len(d.streams) - 1)
 	return true
 }

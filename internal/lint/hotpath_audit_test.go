@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"reflect"
@@ -338,7 +339,10 @@ func TestTransitiveProofMatchesAllocGates(t *testing.T) {
 // is never serialized at all — edge.Detector rebuilds it row by row
 // after ReadState, which is exactly what its //fallvet:derived streams
 // tag records. Their state is audited through the pairs that own it
-// (edge.Detector, serve.Session), not as pairs of their own.
+// (edge.Detector, serve.Session), not as pairs of their own. The
+// streamer's weights and geometry live in its nn.ProgramOf, which no
+// snapshot carries either: it is compiled from the model and shared
+// read-only, which TestCompiledProgramReadOnly holds it to.
 func TestSnapshotPairSet(t *testing.T) {
 	got := collectSnapshotTypes(loadRepoPasses(t))
 	want := []string{
@@ -351,6 +355,94 @@ func TestSnapshotPairSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot pair set changed:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestCompiledProgramReadOnly: an nn.ProgramOf — with the branch and
+// head programs it holds — is shared by every stream of a model, on
+// any goroutine, so no function in package nn but the compilers may
+// store into its fields: no assignment, increment or copy whose target
+// reaches a program field, directly, through an embedded program or
+// through an element of a program slice.
+func TestCompiledProgramReadOnly(t *testing.T) {
+	var nn *Package
+	for _, p := range loadRepoPasses(t) {
+		if p.pkg.Path == "repro/internal/nn" {
+			nn = p.pkg
+		}
+	}
+	if nn == nil {
+		t.Fatal("internal/nn not loaded")
+	}
+	shared := map[*types.Var]string{}
+	for _, name := range []string{"ProgramOf", "branchProgOf", "headStepOf"} {
+		obj := nn.Types.Scope().Lookup(name)
+		if obj == nil {
+			t.Fatalf("nn.%s not found: update the program type list", name)
+		}
+		st := obj.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			shared[st.Field(i)] = name
+		}
+	}
+	compilers := map[string]bool{"CompileOf": true, "compileHead": true, "compileBranch": true}
+	// sharedField walks a store target down to the program field it
+	// reaches, if any.
+	sharedField := func(e ast.Expr) *types.Var {
+		for {
+			switch x := e.(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := nn.Info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					if v := sel.Obj().(*types.Var).Origin(); shared[v] != "" {
+						return v
+					}
+				}
+				e = x.X
+			default:
+				return nil
+			}
+		}
+	}
+	checked := 0
+	for _, f := range nn.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || compilers[fd.Name.Name] {
+				continue
+			}
+			checked++
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var targets []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					targets = n.Lhs
+				case *ast.IncDecStmt:
+					targets = []ast.Expr{n.X}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "copy" && len(n.Args) == 2 {
+						targets = n.Args[:1]
+					}
+				}
+				for _, e := range targets {
+					if v := sharedField(e); v != nil {
+						t.Errorf("%s: %s stores into %s.%s, which every stream of the model shares",
+							nn.Fset.Position(e.Pos()), funcDisplayName(fd), shared[v], v.Name())
+					}
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no functions checked in internal/nn")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // itself (so in-place parameter updates stay visible to the compiled
 // path, exactly as when the kernels read the layer tensors directly),
 // and at S=float32 it returns a rounded copy — a lowered snapshot of
-// the checkpoint, taken once at construction.
+// the checkpoint, taken once by CompileOf.
 func lowerOrAlias[S tensor.Scalar](src []float64) []S {
 	if s, ok := any(src).([]S); ok {
 		return s

@@ -2,16 +2,42 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
 
-// StreamerOf is the incremental sliding-window forward path (DESIGN.md
-// §12), parameterized by the inference scalar S. A batch scorer re-runs
-// the whole network over the full [Window × C] matrix every stride even
-// though consecutive windows share all but Step rows. The Streamer
-// instead ingests one row at a time and caches each layer's output in a
-// ring:
+// ProgramOf is a branch-first CNN compiled for incremental
+// sliding-window inference (DESIGN.md §12) at scalar width S: the
+// validated topology, each branch's conv/pool geometry and parameters,
+// the stream's rebase mask, and the dense head's steps. It is
+// immutable once CompileOf returns, so one program serves any number
+// of StreamerOf values — on any number of goroutines — and each of
+// them holds only its own rings. That split is the deployment
+// target's: the model is a read-only constant in flash, and only the
+// per-inference state lives in RAM.
+//
+// At S=float64 the program's parameter slices alias the network's own
+// tensors (so in-place updates stay visible, exactly as when the
+// kernels read the layer tensors directly); at S=float32 they are a
+// rounded copy of the checkpoint (round-to-nearest-even per weight),
+// taken once by CompileOf.
+type ProgramOf[S tensor.Scalar] struct {
+	inCh, window, step int
+
+	rebase []bool // per input column: re-based per window by the caller
+
+	br    []branchProgOf[S]
+	head  []headStepOf[S] // precompiled dense head (see compileHead)
+	width int             // concat vector length fed to the head
+}
+
+// StreamerOf is one stream's state over a ProgramOf: the input ring,
+// every branch's rings and running maxima, and the head's buffers. A
+// batch scorer re-runs the whole network over the full [Window × C]
+// matrix every stride even though consecutive windows share all but
+// Step rows. The Streamer instead ingests one row at a time and
+// caches each layer's output in a ring:
 //
 //   - every new input row uncovers exactly one new Conv1D output row
 //     per branch (once Kernel rows of history exist), computed with
@@ -19,7 +45,7 @@ import (
 //     post-ReLU;
 //   - max pooling runs on the absolute pooling grid: window starts are
 //     multiples of Step and Step is a multiple of Pool (checked at
-//     construction), so the pool windows of consecutive decisions are
+//     compilation), so the pool windows of consecutive decisions are
 //     the same non-overlapping [p·r, p·r+p) blocks and the sliding
 //     maximum degenerates to a per-block running max — one compare per
 //     channel per conv row, no deque. (A monotonic deque is the
@@ -34,12 +60,10 @@ import (
 // floating-point sum is produced by the same kernel in the same
 // order over the same values, the result is bit-identical to
 // Network.Predict on the assembled window at S=float64, not merely
-// close. At S=float32 the model's float64 checkpoint is lowered
-// (round-to-nearest-even per weight) once at construction and every
-// kernel runs at single precision; the same order contract then makes
-// the f32 streaming and f32 batch paths bit-identical to each other,
-// with the f64 oracle agreement proven statistically by the precision
-// harness rather than bit-for-bit.
+// close. At S=float32 the same order contract makes the f32 streaming
+// and f32 batch paths bit-identical to each other, with the f64
+// oracle agreement proven statistically by the precision harness
+// rather than bit-for-bit.
 //
 // Branches whose input columns the caller re-bases per window (the
 // detector subtracts the window-initial yaw from the Euler channels)
@@ -71,17 +95,16 @@ import (
 // sample (a div by a non-constant costs ~20–40 cycles on the target
 // core, which profiling showed dominating the original deque).
 type StreamerOf[S tensor.Scalar] struct {
-	inCh, window, step int
+	*ProgramOf[S] // shared, read-only
 
-	in     []S    // input ring, [window × inCh]; absolute row r at slot r%window
-	slot   int    // next write slot in `in` (== count mod window)
-	count  int    // absolute rows ingested since the stream epoch
-	base   int    // absolute row the ring history starts at (0 unless Restart-ed mid-stream)
-	rebase []bool // per input column: re-based per window by the caller
+	in    []S // input ring, [window × inCh]; absolute row r at slot r%window
+	slot  int // next write slot in `in` (== count mod window)
+	count int // absolute rows ingested since the stream epoch
+	base  int // absolute row the ring history starts at (0 unless Restart-ed mid-stream)
 
-	branches []*branchStreamOf[S]
-	head     []headStepOf[S] // precompiled dense head (see buildHead)
-	cat      *tensor.Of[S]   // concat vector fed to the head
+	branches []branchStreamOf[S]
+	hbuf     [][]S // per head step: its output buffer
+	cat      []S   // concat vector fed to the head
 }
 
 // Streamer is the float64 instantiation — the reference width every
@@ -100,7 +123,7 @@ const (
 
 // headStepOf is one precompiled step of the dense head. Dense layers
 // (optionally with their following ReLU folded in) run straight
-// through the micro-kernels into a streamer-owned buffer; lone
+// through the micro-kernels into a stream-owned buffer; lone
 // activations run through the generic element-wise helpers, which at
 // float64 evaluate exactly the layer objects' expressions. Flatten is
 // the identity on the 1-D head and compiles to no step at all. Every
@@ -112,35 +135,43 @@ type headStepOf[S tensor.Scalar] struct {
 	op      headOp
 	relu    bool // headDense: fold the following ReLU into the kernel's stores
 	out, in int  // headDense dimensions
-	w, b    []S  // headDense parameters (aliased at f64, lowered copies at f32)
-	buf     []S  // step output
+	w, b    []S  // headDense parameters
+	width   int  // step output length
 }
 
-// branchStreamOf is one Branch column range: either streamed through
-// ring caches (Conv→ReLU→MaxPool stacks on non-rebased columns) or
-// recomputed in fused batch form per decision; non-canonical stacks
-// fall back to the model's own float64 layer objects (and are rejected
-// at float32, where no layer objects exist to fall back to).
-type branchStreamOf[S tensor.Scalar] struct {
+// branchProgOf is one Branch column range compiled from a canonical
+// Conv1D→ReLU→MaxPool1D stack: streamed through ring caches on
+// non-rebased columns, or recomputed in fused batch form per decision.
+type branchProgOf[S tensor.Scalar] struct {
 	lo, hi int
-	flat   int     // flattened output length
-	stack  []Layer // the model's own layers (float64 layer-object fallback)
+	flat   int  // flattened output length
+	batch  bool // recomputed per decision instead of streamed
 
-	canon bool           // stack is exactly Conv1D→ReLU→MaxPool1D with matching width
-	batch bool           // recomputed per decision instead of streamed
-	fused bool           // batch && canon: evaluated row-wise, no layer objects
-	in    *tensor.Of[S]  // batch form: assembled [window × hi−lo] input
-	in64  *tensor.Tensor // non-canon fallback: `in` seen at float64 (nil at f32)
-
-	// Conv/pool geometry, set whenever the stack is canonical (the
-	// streaming, fused-batch and BatchScore forms all use it).
 	filters   int
 	kernel    int
-	wgt, bias []S // conv parameters (aliased at f64, lowered copies at f32)
+	wgt, bias []S // conv parameters
 	pool      int
 	convT     int // conv rows per window = window−Kernel+1
 	fullPool  int // complete pool rows per window = convT/pool
 	tailLo    int // window-relative conv row where the partial pool tail starts (== convT when none)
+
+	// Conv rows are computed in pairs through matVecBias2, which loads
+	// each weight once for two windows: a freshly uncovered row is
+	// deferred (pend/pendA) until its successor arrives, and Score
+	// flushes a leftover single before gathering. Values are identical
+	// either way — the pairing only changes when the arithmetic runs,
+	// never its order. Pairing is disabled (pair == false) when
+	// convT == 1 — the deferred row's input window would not survive
+	// the next push — or when the conv input width reaches matVecBias's
+	// wide path, whose summation order matVecBias2 does not reproduce.
+	pair bool
+}
+
+// branchStreamOf is one stream's state for a compiled branch.
+type branchStreamOf[S tensor.Scalar] struct {
+	*branchProgOf[S] // shared, read-only
+
+	in []S // batch form: assembled [window × hi−lo] input
 
 	// Double-write input ring: [(window+kernel−1) × w]. Absolute row r
 	// lives at slot r mod window; rows landing in slots < kernel−1 are
@@ -159,18 +190,8 @@ type branchStreamOf[S tensor.Scalar] struct {
 	convRing []S
 	aslot    int // convRing slot of the next conv row (wraps at convT)
 
-	// Conv rows are computed in pairs through matVecBias2, which loads
-	// each weight once for two windows: a freshly uncovered row is
-	// deferred (pend/pendA) until its successor arrives, and Score
-	// flushes a leftover single before gathering. Values are identical
-	// either way — the pairing only changes when the arithmetic runs,
-	// never its order. Pairing is disabled (pair == false) when
-	// convT == 1 — the deferred row's input window would not survive
-	// the next push — or when the conv input width reaches matVecBias's
-	// wide path, whose summation order matVecBias2 does not reproduce.
-	pair  bool
-	pend  bool
-	pendA int
+	pend  bool // a conv row is deferred for pairing (see branchProgOf.pair)
+	pendA int  // its absolute row
 
 	// Running max over the current pool block. phase counts conv rows
 	// into the block (== a mod pool); at phase pool−1 the block is
@@ -178,8 +199,8 @@ type branchStreamOf[S tensor.Scalar] struct {
 	// started before the stream epoch (partial after Restart).
 	rmax     []S
 	phase    int
-	poolRing []S  // [fullPool × Filters]; absolute pool row r at slot r%fullPool
-	poolSlot int  // poolRing slot of the next emitted pool row (wraps at fullPool)
+	poolRing []S // [fullPool × Filters]; absolute pool row r at slot r%fullPool
+	poolSlot int // poolRing slot of the next emitted pool row (wraps at fullPool)
 }
 
 // StreamConfig describes the stream a Streamer will consume.
@@ -200,23 +221,30 @@ func NewStreamer(net *Network, cfg StreamConfig) (*Streamer, error) {
 	return NewStreamerOf[float64](net, cfg)
 }
 
-// NewStreamerOf builds an incremental scorer at scalar width S for
-// net, which must be a Branch followed by a dense head
-// (Dense/ReLU/Sigmoid/Tanh/Flatten layers only) — the shape of every
-// CNN this repo builds. Other topologies (MLP, recurrent) return an
-// error; callers fall back to batch scoring. At S=float32 every branch
-// stack must additionally be canonical Conv1D→ReLU→MaxPool1D: the
-// lowered path compiles the whole forward pass out of the float64
-// layer objects, so there is nothing for a non-canonical stack to fall
-// back to.
-//
-// At S=float64 the Streamer shares net's parameters and batch-fallback
-// layer scratch: scoring through it and through net.Predict interleave
-// safely (outputs are copied out of layer scratch), but neither may
-// run concurrently. At S=float32 the parameters are lowered copies
-// taken at construction — a frozen snapshot of the checkpoint, which
-// is how the deployment target consumes a model anyway.
+// NewStreamerOf compiles net for cfg and returns one stream over the
+// program: CompileOf followed by NewStreamer. Callers that build many
+// streams from one model compile once and call NewStreamer per stream.
 func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf[S], error) {
+	p, err := CompileOf[S](net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewStreamer(), nil
+}
+
+// CompileOf compiles net for incremental scoring at width S. net must
+// be a Branch whose every stack is exactly Conv1D→ReLU→MaxPool1D,
+// followed by a dense head (Dense/ReLU/Sigmoid/Tanh/Flatten layers
+// only) — the shape of every CNN this repo builds. Other topologies
+// (MLP, recurrent, other branch stacks) return an error; callers fall
+// back to batch scoring, which is bit-identical at float64.
+//
+// At S=float64 the program shares net's parameters: it reads them
+// live, so net may not be trained while streams of it score. At
+// S=float32 the parameters are lowered copies taken here — a frozen
+// snapshot of the checkpoint, which is how the deployment target
+// consumes a model anyway.
+func CompileOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*ProgramOf[S], error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("nn: streamer needs a non-empty network")
 	}
@@ -234,45 +262,25 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 		}
 		rebase[c] = true
 	}
-	s := &StreamerOf[S]{
+	p := &ProgramOf[S]{
 		inCh:   cfg.InCh,
 		window: cfg.Window,
 		step:   cfg.Step,
-		in:     make([]S, cfg.Window*cfg.InCh),
 		rebase: rebase,
 	}
-	f64 := tensor.Is64[S]()
-	total := 0
 	for i, c := range br.Cols {
-		lo, hi := c[0], c[1]
-		if hi > cfg.InCh {
+		if c[1] > cfg.InCh {
 			return nil, fmt.Errorf("nn: branch %d columns %v exceed %d channels", i, c, cfg.InCh)
 		}
-		shape := []int{cfg.Window, hi - lo}
-		for _, l := range br.Stacks[i] {
-			var err error
-			shape, err = l.OutShape(shape)
-			if err != nil {
-				return nil, fmt.Errorf("nn: streamer branch %d: %w", i, err)
-			}
+		b, err := p.compileBranch(c[0], c[1], br.Stacks[i])
+		if err != nil {
+			return nil, fmt.Errorf("nn: streamer branch %d: %w", i, err)
 		}
-		flat := 1
-		for _, d := range shape {
-			flat *= d
-		}
-		b := &branchStreamOf[S]{lo: lo, hi: hi, flat: flat, stack: br.Stacks[i]}
-		s.configureBranch(b, rebase)
-		if !b.canon && !f64 {
-			return nil, fmt.Errorf("nn: float32 streamer branch %d needs a Conv→ReLU→MaxPool stack", i)
-		}
-		if !b.canon {
-			b.in64 = any(b.in).(*tensor.Tensor)
-		}
-		s.branches = append(s.branches, b)
-		total += flat
+		p.br = append(p.br, b)
+		p.width += b.flat
 	}
 	layers := net.Layers[1:]
-	hshape := []int{total}
+	hshape := []int{p.width}
 	for _, l := range layers {
 		switch l.(type) {
 		case *Dense, *ReLU, *Sigmoid, *Tanh, *Flatten:
@@ -288,25 +296,24 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 	if len(hshape) != 1 || hshape[0] != 1 {
 		return nil, fmt.Errorf("nn: streamer head output shape %v, want [1]", hshape)
 	}
-	s.buildHead(layers, total)
-	s.cat = tensor.NewOf[S](total)
-	return s, nil
+	p.compileHead(layers)
+	return p, nil
 }
 
-// buildHead precompiles the validated head layers into headSteps:
+// compileHead precompiles the validated head layers into headSteps:
 // Dense layers run through the micro-kernels (a ReLU directly after a
 // Dense folds into its stores), lone activations through the generic
 // element-wise helpers, and Flatten — the identity on the 1-D head —
 // compiles away entirely.
-func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
+func (p *ProgramOf[S]) compileHead(layers []Layer) {
+	width := p.width
 	for i := 0; i < len(layers); i++ {
 		switch l := layers[i].(type) {
 		case *Dense:
 			st := headStepOf[S]{
-				op: headDense, out: l.Out, in: l.In,
-				w:   lowerOrAlias[S](l.Weight.W.Data()),
-				b:   lowerOrAlias[S](l.Bias.W.Data()),
-				buf: make([]S, l.Out),
+				op: headDense, out: l.Out, in: l.In, width: l.Out,
+				w: lowerOrAlias[S](l.Weight.W.Data()),
+				b: lowerOrAlias[S](l.Bias.W.Data()),
 			}
 			if i+1 < len(layers) {
 				if _, ok := layers[i+1].(*ReLU); ok {
@@ -314,88 +321,134 @@ func (s *StreamerOf[S]) buildHead(layers []Layer, width int) {
 					i++
 				}
 			}
-			s.head = append(s.head, st)
+			p.head = append(p.head, st)
 			width = l.Out
 		case *ReLU:
-			s.head = append(s.head, headStepOf[S]{op: headReLU, buf: make([]S, width)})
+			p.head = append(p.head, headStepOf[S]{op: headReLU, width: width})
 		case *Sigmoid:
-			s.head = append(s.head, headStepOf[S]{op: headSigmoid, buf: make([]S, width)})
+			p.head = append(p.head, headStepOf[S]{op: headSigmoid, width: width})
 		case *Tanh:
-			s.head = append(s.head, headStepOf[S]{op: headTanh, buf: make([]S, width)})
+			p.head = append(p.head, headStepOf[S]{op: headTanh, width: width})
 		case *Flatten:
 			// identity on a 1-D head: no step
 		}
 	}
 }
 
-// configureBranch decides how b evaluates. A branch streams when its
-// stack is exactly Conv1D→ReLU→MaxPool1D, none of its columns are
-// re-based per window, and the stride keeps window starts on the
-// pooling grid (Step divisible by Pool). A canonical stack that cannot
-// stream (re-based columns, misaligned stride) is recomputed per
-// decision but in fused row-wise form — same kernel, same values, no
-// intermediate layer tensors. Anything else goes through the model's
-// own layer objects (float64 only).
-func (s *StreamerOf[S]) configureBranch(b *branchStreamOf[S], rebase []bool) {
-	b.batch = true
-	w := b.hi - b.lo
-	// Every batch form (including BatchScore on streaming branches)
-	// assembles the window here.
-	b.in = tensor.NewOf[S](s.window, w)
-	if len(b.stack) != 3 {
-		return
+// compileBranch compiles one branch's stack over columns [lo, hi). The
+// branch streams when none of its columns are re-based per window and
+// the stride keeps window starts on the pooling grid (Step divisible
+// by Pool); otherwise it is recomputed per decision in fused row-wise
+// form — same kernel, same values, no intermediate layer tensors.
+func (p *ProgramOf[S]) compileBranch(lo, hi int, stack []Layer) (branchProgOf[S], error) {
+	w := hi - lo
+	var conv *Conv1D
+	var mp *MaxPool1D
+	if len(stack) == 3 {
+		conv, _ = stack[0].(*Conv1D)
+		_, relu := stack[1].(*ReLU)
+		mp, _ = stack[2].(*MaxPool1D)
+		if !relu {
+			conv = nil
+		}
 	}
-	conv, ok := b.stack[0].(*Conv1D)
-	if !ok {
-		return
+	if conv == nil || mp == nil {
+		return branchProgOf[S]{}, fmt.Errorf("needs a Conv1D→ReLU→MaxPool1D stack")
 	}
-	if _, ok := b.stack[1].(*ReLU); !ok {
-		return
-	}
-	mp, ok := b.stack[2].(*MaxPool1D)
-	if !ok {
-		return
-	}
-	convT := s.window - conv.Kernel + 1
+	convT := p.window - conv.Kernel + 1
 	if conv.InCh != w || convT < 1 {
-		return
+		return branchProgOf[S]{}, fmt.Errorf("conv reads %d channels over %d rows, branch has %d over a %d-row window",
+			conv.InCh, conv.Kernel, w, p.window)
 	}
-	b.canon = true
-	b.filters = conv.Filters
-	b.kernel = conv.Kernel
-	b.wgt = lowerOrAlias[S](conv.Weight.W.Data())
-	b.bias = lowerOrAlias[S](conv.Bias.W.Data())
-	b.pool = mp.Pool
-	b.convT = convT
-	b.fullPool = convT / mp.Pool
+	shape := []int{p.window, w}
+	for _, l := range stack {
+		var err error
+		if shape, err = l.OutShape(shape); err != nil {
+			return branchProgOf[S]{}, err
+		}
+	}
+	b := branchProgOf[S]{
+		lo: lo, hi: hi,
+		flat:     shape[0] * shape[1],
+		filters:  conv.Filters,
+		kernel:   conv.Kernel,
+		wgt:      lowerOrAlias[S](conv.Weight.W.Data()),
+		bias:     lowerOrAlias[S](conv.Bias.W.Data()),
+		pool:     mp.Pool,
+		convT:    convT,
+		fullPool: convT / mp.Pool,
+	}
 	b.tailLo = b.fullPool * mp.Pool
-	b.crow = make([]S, conv.Filters)
-	b.crow2 = make([]S, conv.Filters)
-
 	rebased := false
-	for c := b.lo; c < b.hi; c++ {
-		rebased = rebased || rebase[c]
+	for c := lo; c < hi; c++ {
+		rebased = rebased || p.rebase[c]
 	}
-	if rebased || s.step%mp.Pool != 0 {
-		b.fused = true
-		return
+	b.batch = rebased || p.step%mp.Pool != 0
+	b.pair = !b.batch && convT >= 2 && conv.Kernel*w < 32
+	return b, nil
+}
+
+// NewStreamer returns a cold stream over p. Only the stream's rings
+// and buffers are allocated; every parameter is read through p.
+func (p *ProgramOf[S]) NewStreamer() *StreamerOf[S] {
+	s := &StreamerOf[S]{
+		ProgramOf: p,
+		in:        make([]S, p.window*p.inCh),
+		branches:  make([]branchStreamOf[S], len(p.br)),
+		hbuf:      make([][]S, len(p.head)),
+		cat:       make([]S, p.width),
 	}
-	b.batch = false
-	b.pair = convT >= 2 && conv.Kernel*w < 32
-	b.bring = make([]S, (s.window+conv.Kernel-1)*w)
-	if b.tailLo < convT {
-		b.convRing = make([]S, convT*conv.Filters)
+	for i := range p.br {
+		g := &p.br[i]
+		w := g.hi - g.lo
+		b := &s.branches[i]
+		b.branchProgOf = g
+		// Every batch form (including BatchScore on streaming
+		// branches) assembles the window here.
+		b.in = make([]S, p.window*w)
+		b.crow = make([]S, g.filters)
+		b.crow2 = make([]S, g.filters)
+		if g.batch {
+			continue
+		}
+		b.bring = make([]S, (p.window+g.kernel-1)*w)
+		if g.tailLo < g.convT {
+			b.convRing = make([]S, g.convT*g.filters)
+		}
+		b.rmax = make([]S, g.filters)
+		b.poolRing = make([]S, g.fullPool*g.filters)
 	}
-	b.rmax = make([]S, conv.Filters)
-	b.poolRing = make([]S, b.fullPool*conv.Filters)
+	for i, st := range p.head {
+		s.hbuf[i] = make([]S, st.width)
+	}
+	return s
+}
+
+// Fits reports whether p was compiled for cfg's stream geometry: the
+// same row width, window, step and re-based columns.
+func (p *ProgramOf[S]) Fits(cfg StreamConfig) bool {
+	if cfg.InCh != p.inCh || cfg.Window != p.window || cfg.Step != p.step {
+		return false
+	}
+	for _, c := range cfg.RebaseCols {
+		if c < 0 || c >= p.inCh || !p.rebase[c] {
+			return false
+		}
+	}
+	for c, r := range p.rebase {
+		if r && !slices.Contains(cfg.RebaseCols, c) {
+			return false
+		}
+	}
+	return true
 }
 
 // Streaming reports whether any branch actually runs incrementally
-// (a Streamer whose branches all fall back to batch form is valid but
-// saves nothing).
-func (s *StreamerOf[S]) Streaming() bool {
-	for _, b := range s.branches {
-		if !b.batch {
+// (a program whose branches all run in batch form is valid but its
+// streams save nothing).
+func (p *ProgramOf[S]) Streaming() bool {
+	for i := range p.br {
+		if !p.br[i].batch {
 			return true
 		}
 	}
@@ -415,7 +468,8 @@ func (s *StreamerOf[S]) Restart(base int) {
 	s.count = base
 	s.base = base
 	s.slot = base % s.window
-	for _, b := range s.branches {
+	for i := range s.branches {
+		b := &s.branches[i]
 		if b.batch {
 			continue
 		}
@@ -453,7 +507,8 @@ func (s *StreamerOf[S]) Push(row []S) {
 		s.slot = 0
 	}
 	s.count++
-	for _, b := range s.branches {
+	for i := range s.branches {
+		b := &s.branches[i]
 		if b.batch {
 			continue
 		}
@@ -604,8 +659,8 @@ func (s *StreamerOf[S]) Ready() bool {
 		return false
 	}
 	start := s.count - s.window
-	for _, b := range s.branches {
-		if !b.batch && start%b.pool != 0 {
+	for i := range s.br {
+		if b := &s.br[i]; !b.batch && start%b.pool != 0 {
 			return false
 		}
 	}
@@ -619,24 +674,23 @@ func (s *StreamerOf[S]) Ready() bool {
 //fallvet:hotpath
 func (s *StreamerOf[S]) Score() float64 {
 	start := s.count - s.window
-	cd := s.cat.Data()
 	off := 0
-	for _, b := range s.branches {
+	for i := range s.branches {
+		b := &s.branches[i]
 		if b.batch {
-			s.runBatchBranch(b, cd[off:off+b.flat], start)
+			s.runBatchBranch(b, s.cat[off:off+b.flat], start)
 		} else {
 			b.flush(s)
-			b.gather(cd[off:off+b.flat], start)
+			b.gather(s.cat[off:off+b.flat], start)
 		}
 		off += b.flat
 	}
-	return float64(s.runHead(cd))
+	return float64(s.runHead(s.cat))
 }
 
 // BatchScore evaluates the network over the current window entirely in
 // batch form from the streamer's own input ring — every branch through
-// the fused row-wise kernels (or its float64 layer objects when not
-// canonical), then the compiled head. Unlike Score it does not require
+// the fused row-wise kernels, then the compiled head. Unlike Score it does not require
 // the window start to sit on the pooling grid, so it is the compiled
 // path's full fallback for off-stride scoring; at S=float64 it is
 // bit-identical to Network.Predict on the assembled window by the
@@ -646,13 +700,13 @@ func (s *StreamerOf[S]) Score() float64 {
 //fallvet:hotpath
 func (s *StreamerOf[S]) BatchScore() float64 {
 	start := s.count - s.window
-	cd := s.cat.Data()
 	off := 0
-	for _, b := range s.branches {
-		s.runBatchBranch(b, cd[off:off+b.flat], start)
+	for i := range s.branches {
+		b := &s.branches[i]
+		s.runBatchBranch(b, s.cat[off:off+b.flat], start)
 		off += b.flat
 	}
-	return float64(s.runHead(cd))
+	return float64(s.runHead(s.cat))
 }
 
 // runHead executes the precompiled head steps over the concat vector
@@ -662,21 +716,22 @@ func (s *StreamerOf[S]) BatchScore() float64 {
 func (s *StreamerOf[S]) runHead(cur []S) S {
 	for i := range s.head {
 		st := &s.head[i]
+		buf := s.hbuf[i]
 		switch st.op {
 		case headDense:
 			if st.relu {
-				matVecBiasReLU(st.buf, cur, st.w, st.b, st.out, st.in)
+				matVecBiasReLU(buf, cur, st.w, st.b, st.out, st.in)
 			} else {
-				matVecBias(st.buf, cur, st.w, st.b, st.out, st.in)
+				matVecBias(buf, cur, st.w, st.b, st.out, st.in)
 			}
 		case headReLU:
-			reluInto(st.buf, cur)
+			reluInto(buf, cur)
 		case headSigmoid:
-			sigmoidInto(st.buf, cur)
+			sigmoidInto(buf, cur)
 		case headTanh:
-			tanhInto(st.buf, cur)
+			tanhInto(buf, cur)
 		}
-		cur = st.buf
+		cur = buf
 	}
 	return cur[0]
 }
@@ -719,14 +774,13 @@ func (b *branchStreamOf[S]) gather(dst []S, start int) {
 
 // runBatchBranch assembles the branch's input columns from the ring,
 // applies the per-window re-basing the detector applies (subtracting
-// each re-based column's first value), and runs either the fused
-// row-wise kernels (canonical stacks) or the model's own float64 layer
-// stack — the same values through the same code as the batch path.
+// each re-based column's first value), and runs the fused row-wise
+// kernels — the same values through the same code as the batch path.
 //
 //fallvet:hotpath
 func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int) {
 	w := b.hi - b.lo
-	ind := b.in.Data()
+	ind := b.in
 	slot := start % s.window
 	for i := 0; i < s.window; i++ {
 		src := s.in[slot*s.inCh+b.lo : slot*s.inCh+b.hi]
@@ -748,20 +802,7 @@ func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int)
 			ind[i*w+c] -= v0
 		}
 	}
-	if b.canon {
-		b.fusedConvPool(dst, ind)
-		return
-	}
-	// Non-canonical fallback: the model's own layers, float64 only
-	// (b.in64 is the same buffer seen at the concrete type; float32
-	// construction rejected this shape).
-	h := b.in64
-	for _, l := range b.stack {
-		h = l.Forward(h, false)
-	}
-	for i, v := range h.Data() {
-		dst[i] = S(v)
-	}
+	b.fusedConvPool(dst, ind)
 }
 
 // fusedConvPool evaluates a canonical Conv→ReLU→MaxPool stack over the

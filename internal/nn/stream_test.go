@@ -187,6 +187,18 @@ func TestStreamerRejectsUnsupported(t *testing.T) {
 	if _, err := NewStreamer(NewNetwork(), StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
 		t.Fatal("empty network accepted")
 	}
+	// Any branch stack but Conv1D→ReLU→MaxPool1D, at either width.
+	convPoolReLU := NewNetwork(
+		NewBranch([][2]int{{0, 2}}, [][]Layer{{NewConv1D(2, 4, 3, rng), NewMaxPool1D(2), NewReLU()}}),
+		NewDense(36, 1, rng),
+		NewSigmoid(),
+	)
+	if _, err := NewStreamer(convPoolReLU, StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
+		t.Fatal("Conv→MaxPool→ReLU stack accepted at float64")
+	}
+	if _, err := NewStreamerOf[float32](convPoolReLU, StreamConfig{InCh: 2, Window: 20, Step: 4}); err == nil {
+		t.Fatal("Conv→MaxPool→ReLU stack accepted at float32")
+	}
 	net := streamTestNet(t, 20, [][2]int{{0, 2}}, 4, 3, 2, rng)
 	if _, err := NewStreamer(net, StreamConfig{InCh: 2, Window: 20, Step: 10, RebaseCols: []int{5}}); err == nil {
 		t.Fatal("out-of-range rebase column accepted")
@@ -228,5 +240,41 @@ func TestStreamerAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Push+Score allocates %.1f/op", n)
+	}
+}
+
+// TestProgramSharedByStreamers: one compiled program serves several
+// streams at once. Each stream, fed its own rows interleaved with the
+// others, stays bit-identical to Predict on its own windows, and the
+// program's Fits accepts exactly the geometry it was compiled for.
+func TestProgramSharedByStreamers(t *testing.T) {
+	const window, step, inCh = 40, 20, 9
+	rng := rand.New(rand.NewSource(13))
+	net := streamTestNet(t, window, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 8, 5, 2, rng)
+	cfg := StreamConfig{InCh: inCh, Window: window, Step: step, RebaseCols: []int{8}}
+	prog, err := CompileOf[float64](net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prog.Fits(cfg) || prog.Fits(StreamConfig{InCh: inCh, Window: window, Step: step}) ||
+		prog.Fits(StreamConfig{InCh: inCh, Window: window, Step: 10, RebaseCols: []int{8}}) {
+		t.Fatal("Fits disagrees with the compiled geometry")
+	}
+	sts := []*Streamer{prog.NewStreamer(), prog.NewStreamer(), prog.NewStreamer()}
+	rows := make([][][]float64, len(sts))
+	for i := 0; i < 4*window; i++ {
+		for k, st := range sts {
+			row := pushRandomRow(rng, inCh)
+			rows[k] = append(rows[k], row)
+			st.Push(row)
+			if len(rows[k]) < window || (len(rows[k])-window)%step != 0 {
+				continue
+			}
+			got := st.Score()
+			want := net.Predict(assembleRebased(rows[k], window, inCh, cfg.RebaseCols))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("stream %d row %d: incremental %.17g, batch %.17g", k, len(rows[k]), got, want)
+			}
+		}
 	}
 }

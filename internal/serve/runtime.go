@@ -58,11 +58,21 @@ func (rt *Runtime) OpenWith(p Pipeline, custom func(Config) Config) *Session {
 
 // Sessions returns a snapshot of the session table (index == ID).
 func (rt *Runtime) Sessions() []*Session {
+	t := rt.table()
+	out := make([]*Session, len(t))
+	copy(out, t)
+	return out
+}
+
+// table returns the session table as it stands, without copying it.
+// The table is append-only: Open writes only past any length a reader
+// already took, into spare capacity or a fresh array, so the slice
+// header taken under mu stays valid to read without the lock, and the
+// aggregate queries below allocate nothing.
+func (rt *Runtime) table() []*Session {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]*Session, len(rt.sessions))
-	copy(out, rt.sessions)
-	return out
+	return rt.sessions
 }
 
 // Session returns the session with the given ID, or nil.
@@ -79,7 +89,7 @@ func (rt *Runtime) Session(id int) *Session {
 // every worker between entries (shed sessions count as idle). The
 // chaos soak uses it as its lock-step round barrier.
 func (rt *Runtime) Quiesce() {
-	for _, s := range rt.Sessions() {
+	for _, s := range rt.table() {
 		s.Quiesce()
 	}
 }
@@ -87,7 +97,7 @@ func (rt *Runtime) Quiesce() {
 // Counters sums every session's accounting.
 func (rt *Runtime) Counters() Counters {
 	var total Counters
-	for _, s := range rt.Sessions() {
+	for _, s := range rt.table() {
 		total = total.add(s.Counters())
 	}
 	return total
@@ -98,7 +108,7 @@ func (rt *Runtime) Counters() Counters {
 // StateShed).
 func (rt *Runtime) StateCounts() [4]int {
 	var counts [4]int
-	for _, s := range rt.Sessions() {
+	for _, s := range rt.table() {
 		counts[s.State()]++
 	}
 	return counts
@@ -110,8 +120,7 @@ func (rt *Runtime) StateCounts() [4]int {
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	rt.closed = true
-	sessions := make([]*Session, len(rt.sessions))
-	copy(sessions, rt.sessions)
+	sessions := rt.sessions
 	rt.mu.Unlock()
 	for _, s := range sessions {
 		s.Close()

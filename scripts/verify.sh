@@ -19,7 +19,11 @@
 #   4. go test ./...         — full unit suite
 #   5. go test -race ./...   — same suite under the race detector
 #      (the streaming Detector is single-goroutine by contract, but
-#      the trainer and evaluation harness fan out across workers)
+#      the trainer and evaluation harness fan out across workers),
+#      then TestCascadeStreamsConcurrent ten more times: eight
+#      goroutines each drive a float32 cascade streaming from one
+#      shared compiled model, and every stream must match its
+#      single-threaded reference
 #   6. fuzz smoke            — 10 s each on the hostile-input fuzz
 #      targets: FuzzQuantLoad (model-image loader must never panic or
 #      over-allocate on arbitrary bytes), FuzzDetectorPush (the
@@ -45,7 +49,12 @@
 #      missed deadlines on healthy sessions, bit-identical
 #      post-restore decision streams, goroutine-leak check clean,
 #      heap growth bounded
-#  10. bench gate            — scripts/bench.sh -short: the hot-path
+#  10. perfbench self-tests  — `go ./...` skips underscore
+#      directories, so the served-cascade benchmark module
+#      (_perfbench, its own go.mod) gets go vet and go test here, in
+#      the same isolated module environment _perfbench/run.sh builds
+#      it with (caches under .bench_build, GOWORK/GOENV off)
+#  11. bench gate            — scripts/bench.sh -short: the hot-path
 #      benchmarks run briefly with -benchmem; the gate fails when a
 #      steady-state path that must be allocation-free (streaming push,
 #      quantized predict, cascade/serve push, warm snapshots) reports
@@ -74,6 +83,7 @@ echo "== go test ./..."
 go test ./...
 echo "== go test -race ./..."
 go test -race ./...
+go test -race -count=10 -run='^TestCascadeStreamsConcurrent$' ./falldet
 echo "== fuzz smoke: FuzzQuantLoad (10s)"
 go test ./internal/quant -run='^$' -fuzz='^FuzzQuantLoad$' -fuzztime=10s
 echo "== fuzz smoke: FuzzDetectorPush (10s)"
@@ -90,6 +100,12 @@ echo "== cascade determinism: fault sweep, workers 1 vs 4"
 go test ./internal/eval -count=1 -run='^TestEvaluateCascadeRobustnessWorkerCountInvariance$' -v
 echo "== soak smoke: fallserve -sessions 16 -panics 2 -check"
 go run ./cmd/fallserve -sessions 16 -samples 600 -panics 2 -check
+echo "== perfbench self-tests: go vet . && go test . in _perfbench"
+bench_build="$(pwd)/.bench_build"
+mkdir -p "$bench_build/cache" "$bench_build/gopath" "$bench_build/home"
+(cd _perfbench && env GOCACHE="$bench_build/cache" GOPATH="$bench_build/gopath" \
+	HOME="$bench_build/home" XDG_CONFIG_HOME="$bench_build/home/.config" \
+	GOTOOLCHAIN=local GOFLAGS= GOWORK=off GOENV=off sh -c 'go vet . && go test -count=1 .')
 echo "== bench gate: scripts/bench.sh -short"
 sh scripts/bench.sh -short
 echo "== verify: all gates passed"
