@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/artifact"
@@ -202,5 +203,30 @@ func TestCascadeRobustnessTierAccounting(t *testing.T) {
 	}
 	if p.BadScores != 0 {
 		t.Fatalf("%d bad scores", p.BadScores)
+	}
+}
+
+// TestLoadCascadeAllocationBound bounds what loading the deployable
+// cascade (two full-size CNNs, about 0.7 MB) allocates: at most 12× the
+// bundle's size. Reading each of the three nested envelopes (bundle,
+// member, network) once into an exactly sized buffer, payload returned
+// in place, costs about 3×; decoding the networks about 8× more.
+func TestLoadCascadeAllocationBound(t *testing.T) {
+	const maxRatio = 12
+	cd := rawCascade(t, Config{})
+	var buf bytes.Buffer
+	if err := cd.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := LoadCascade(bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxRatio*len(img)); got > limit {
+		t.Fatalf("LoadCascade of a %d-byte bundle allocated %d bytes (%.1f×), bound %d× = %d",
+			len(img), got, float64(got)/float64(len(img)), maxRatio, limit)
 	}
 }

@@ -140,15 +140,39 @@ func AppendEnvelopeDType(dst []byte, kind string, shape []int, dt DType, payload
 	return append(dst, sum[:]...), nil
 }
 
+// readEnvelope reads r to EOF, stopping one byte past MaxBytes. A
+// reader that reports its unread length (bytes.Reader, bytes.Buffer
+// and strings.Reader do, and so does every envelope nested in a bundle
+// or state image) has that length refused over MaxBytes before any
+// buffer exists, then is read into one buffer sized to fit it. The
+// spare MinRead bytes let the final EOF read land without regrowing;
+// a reader whose Len understated its data still reads to EOF. Any
+// other reader grows its buffer as io.ReadAll does.
+func readEnvelope(r io.Reader) ([]byte, error) {
+	var sized []byte
+	if l, ok := r.(interface{ Len() int }); ok {
+		n := l.Len()
+		if n > MaxBytes {
+			return nil, fmt.Errorf("artifact: envelope exceeds MaxBytes %d", MaxBytes)
+		}
+		sized = make([]byte, 0, n+bytes.MinRead)
+	}
+	buf := bytes.NewBuffer(sized)
+	if _, err := buf.ReadFrom(io.LimitReader(r, MaxBytes+1)); err != nil {
+		return nil, fmt.Errorf("artifact: reading envelope: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // Read decodes and verifies an envelope: magic, version, bounds on
 // every length field, and the SHA-256 digest. Only after the digest
 // matches is the payload returned — any single truncation or bit flip
 // anywhere in the stream yields a non-nil error and a nil payload.
 func Read(r io.Reader) (Header, []byte, error) {
 	var h Header
-	raw, err := io.ReadAll(io.LimitReader(r, MaxBytes+1))
+	raw, err := readEnvelope(r)
 	if err != nil {
-		return h, nil, fmt.Errorf("artifact: reading envelope: %w", err)
+		return h, nil, err
 	}
 	if len(raw) > MaxBytes {
 		return h, nil, fmt.Errorf("artifact: envelope exceeds MaxBytes %d", MaxBytes)
@@ -231,15 +255,17 @@ func Read(r io.Reader) (Header, []byte, error) {
 	if len(raw)-pos != payloadLen+digestSize {
 		return h, nil, fmt.Errorf("artifact: %d trailing bytes after digest", len(raw)-pos-payloadLen-digestSize)
 	}
-	payload := raw[pos : pos+payloadLen]
+	// raw is this call's own buffer, so the verified payload is returned
+	// in place, capacity clipped so a caller's append reallocates
+	// instead of writing over the digest.
+	payload := raw[pos : pos+payloadLen : pos+payloadLen]
 	pos += payloadLen
 	want := raw[pos:]
 	sum := sha256.Sum256(raw[:pos])
 	if !bytes.Equal(sum[:], want) {
 		return h, nil, fmt.Errorf("artifact: SHA-256 digest mismatch (corrupt or tampered image)")
 	}
-	// Return a copy so the caller cannot alias the (verified) raw buffer.
-	return h, append([]byte(nil), payload...), nil
+	return h, payload, nil
 }
 
 // CheckKind is a load-time helper: it rejects an envelope whose kind

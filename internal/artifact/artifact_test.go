@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -135,5 +136,32 @@ func TestHostileLengthFields(t *testing.T) {
 		if _, _, err := Read(bytes.NewReader(mut)); err == nil {
 			t.Fatal("hostile payload length accepted")
 		}
+	}
+}
+
+// lenReader reports a length it does not hold, so a MaxBytes refusal
+// can only come from Len, before any buffer is sized to it.
+type lenReader struct{ n int }
+
+func (r lenReader) Len() int               { return r.n }
+func (lenReader) Read([]byte) (int, error) { return 0, io.EOF }
+
+func TestReadRefusesOversizedLen(t *testing.T) {
+	if _, _, err := Read(lenReader{MaxBytes + 1}); err == nil || !strings.Contains(err.Error(), "MaxBytes") {
+		t.Fatalf("reader reporting %d bytes: err %v, want a MaxBytes refusal", MaxBytes+1, err)
+	}
+}
+
+// understated is a bytes.Reader whose Len reports a single byte.
+type understated struct{ *bytes.Reader }
+
+func (understated) Len() int { return 1 }
+
+// TestReadUnderstatedLen: a reader whose Len understates its data is
+// still read to EOF, so the envelope verifies.
+func TestReadUnderstatedLen(t *testing.T) {
+	raw := mustWrite(t, "qnet-int8", []int{4}, []byte("payload"))
+	if _, got, err := Read(understated{bytes.NewReader(raw)}); err != nil || string(got) != "payload" {
+		t.Fatalf("Read = %q, %v", got, err)
 	}
 }

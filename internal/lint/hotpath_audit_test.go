@@ -146,9 +146,8 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.reluInto":         nnAlloc,
 	"internal/nn.sigmoidInto":      nnAlloc,
 	"internal/nn.tanhInto":         nnAlloc,
-	"internal/nn.matVecBias2":      streamAlloc,
 	"internal/nn.matVecBiasReLU":   streamAlloc,
-	"internal/nn.matVecBias2ReLU":  streamAlloc,
+	"internal/nn.maxInto":          streamAlloc,
 	"internal/nn.matVecBiasWide":   nnAlloc,
 	"internal/nn.matVecBiasSparse": nnAlloc,
 
@@ -160,12 +159,9 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.StreamerOf.runHead":           streamAlloc,
 	"internal/nn.StreamerOf.runBatchBranch":    streamAlloc,
 	"internal/nn.branchStreamOf.pushConv":      streamAlloc,
-	"internal/nn.branchStreamOf.convRow":       streamAlloc,
-	"internal/nn.branchStreamOf.flush":         streamAlloc,
-	"internal/nn.branchStreamOf.absorb":        streamAlloc,
+	"internal/nn.branchStreamOf.convInto":      streamAlloc,
 	"internal/nn.branchStreamOf.gather":        streamAlloc,
 	"internal/nn.branchStreamOf.fusedConvPool": streamAlloc,
-	"internal/nn.branchStreamOf.fusedAbsorb":   streamAlloc,
 }
 
 // annotatedFunctions parses every non-test Go file in the module

@@ -22,9 +22,26 @@ func lowerOrAlias[S tensor.Scalar](src []float64) []S {
 	if s, ok := any(src).([]S); ok {
 		return s
 	}
+	return lowerCopy[S](src)
+}
+
+// lowerCopy returns a fresh []S copy of src, rounded at S=float32.
+func lowerCopy[S tensor.Scalar](src []float64) []S {
 	out := make([]S, len(src))
 	for i, v := range src {
 		out[i] = S(v)
+	}
+	return out
+}
+
+// transposeCopy returns the [cols × rows] transpose of the row-major
+// [rows × cols] matrix src as a fresh []S, rounded at S=float32.
+func transposeCopy[S tensor.Scalar](src []float64, rows, cols int) []S {
+	out := make([]S, len(src))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			out[c*rows+r] = S(src[r*cols+c])
+		}
 	}
 	return out
 }

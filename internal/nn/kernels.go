@@ -23,7 +23,10 @@ import (
 // produce bit-identical results (asserted by TestMatVecBiasLaneUniform
 // and the stream equivalence tests), because a conv row computed alone
 // at a stride goes through exactly the arithmetic a full batch pass
-// applies to it.
+// applies to it. The streaming engine's narrow conv rows run the
+// filter-major simd conv row kernels instead (branchStreamOf.convInto),
+// which follow the same per-output order as the narrow path here, one
+// filter per SIMD lane (DESIGN.md §12.2).
 //
 // The float32 instantiation never reaches the scalar bodies below:
 // every entry kernel dispatches it to the SIMD path, whose
@@ -88,84 +91,6 @@ func matVecBias[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 			s += row[i] * x[i]
 		}
 		dst[o] = s
-	}
-}
-
-// matVecBias2 computes two matVecBias calls that share the weight
-// matrix — two consecutive Conv1D output rows, whose input windows xa
-// and xb overlap but sit at different offsets. Each weight element is
-// loaded once and applied to both windows, which matters because the
-// narrow conv shape is front-end-bound: per column pair the plain
-// kernel issues 10 loads for 8 FP ops, this one 12 loads for 16.
-//
-// Bit-identity: each output is accumulated in exactly matVecBias's
-// narrow order — bias, then (p0+p1) pairs in ascending input order,
-// remainder singly — so da/db match two separate matVecBias calls
-// bit-for-bit (asserted by TestMatVecBias2MatchesSingle). Callers must
-// only use it when cols < 32, where matVecBias takes the narrow path.
-//
-//fallvet:hotpath
-func matVecBias2[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
-	if !tensor.Is64[S]() {
-		//fallvet:ignore hottrans simd.MatVecBias2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBias2F32(f32s(da), f32s(db), f32s(xa), f32s(xb), f32s(w), f32s(b), rows, cols)
-		return
-	}
-	o := 0
-	for ; o+4 <= rows; o += 4 {
-		r0 := w[(o+0)*cols : (o+1)*cols]
-		r1 := w[(o+1)*cols : (o+2)*cols]
-		r2 := w[(o+2)*cols : (o+3)*cols]
-		r3 := w[(o+3)*cols : (o+4)*cols]
-		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-		t0, t1, t2, t3 := s0, s1, s2, s3
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			a0, a1 := xa[i], xa[i+1]
-			c0, c1 := xb[i], xb[i+1]
-			w00, w01 := r0[i], r0[i+1]
-			s0 += w00*a0 + w01*a1
-			t0 += w00*c0 + w01*c1
-			w10, w11 := r1[i], r1[i+1]
-			s1 += w10*a0 + w11*a1
-			t1 += w10*c0 + w11*c1
-			w20, w21 := r2[i], r2[i+1]
-			s2 += w20*a0 + w21*a1
-			t2 += w20*c0 + w21*c1
-			w30, w31 := r3[i], r3[i+1]
-			s3 += w30*a0 + w31*a1
-			t3 += w30*c0 + w31*c1
-		}
-		for ; i < cols; i++ {
-			a, c := xa[i], xb[i]
-			w0, w1, w2, w3 := r0[i], r1[i], r2[i], r3[i]
-			s0 += w0 * a
-			t0 += w0 * c
-			s1 += w1 * a
-			t1 += w1 * c
-			s2 += w2 * a
-			t2 += w2 * c
-			s3 += w3 * a
-			t3 += w3 * c
-		}
-		da[o], da[o+1], da[o+2], da[o+3] = s0, s1, s2, s3
-		db[o], db[o+1], db[o+2], db[o+3] = t0, t1, t2, t3
-	}
-	for ; o < rows; o++ {
-		row := w[o*cols : (o+1)*cols]
-		s, t := b[o], b[o]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			w0, w1 := row[i], row[i+1]
-			s += w0*xa[i] + w1*xa[i+1]
-			t += w0*xb[i] + w1*xb[i+1]
-		}
-		for ; i < cols; i++ {
-			s += row[i] * xa[i]
-			t += row[i] * xb[i]
-		}
-		da[o] = s
-		db[o] = t
 	}
 }
 
@@ -243,108 +168,6 @@ func matVecBiasReLU[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 			s = 0
 		}
 		dst[o] = s
-	}
-}
-
-// matVecBias2ReLU is matVecBias2 with the ReLU clamp folded into the
-// stores, mirroring matVecBiasReLU. Like matVecBias2 it is only valid
-// for cols < 32 (the narrow summation order).
-//
-//fallvet:hotpath
-func matVecBias2ReLU[S tensor.Scalar](da, db, xa, xb, w, b []S, rows, cols int) {
-	if !tensor.Is64[S]() {
-		fa, fb := f32s(da), f32s(db)
-		//fallvet:ignore hottrans simd.MatVecBias2F32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBias2F32(fa, fb, f32s(xa), f32s(xb), f32s(w), f32s(b), rows, cols)
-		reluF32(fa[:rows])
-		reluF32(fb[:rows])
-		return
-	}
-	o := 0
-	for ; o+4 <= rows; o += 4 {
-		r0 := w[(o+0)*cols : (o+1)*cols]
-		r1 := w[(o+1)*cols : (o+2)*cols]
-		r2 := w[(o+2)*cols : (o+3)*cols]
-		r3 := w[(o+3)*cols : (o+4)*cols]
-		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-		t0, t1, t2, t3 := s0, s1, s2, s3
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			a0, a1 := xa[i], xa[i+1]
-			c0, c1 := xb[i], xb[i+1]
-			w00, w01 := r0[i], r0[i+1]
-			s0 += w00*a0 + w01*a1
-			t0 += w00*c0 + w01*c1
-			w10, w11 := r1[i], r1[i+1]
-			s1 += w10*a0 + w11*a1
-			t1 += w10*c0 + w11*c1
-			w20, w21 := r2[i], r2[i+1]
-			s2 += w20*a0 + w21*a1
-			t2 += w20*c0 + w21*c1
-			w30, w31 := r3[i], r3[i+1]
-			s3 += w30*a0 + w31*a1
-			t3 += w30*c0 + w31*c1
-		}
-		for ; i < cols; i++ {
-			a, c := xa[i], xb[i]
-			w0, w1, w2, w3 := r0[i], r1[i], r2[i], r3[i]
-			s0 += w0 * a
-			t0 += w0 * c
-			s1 += w1 * a
-			t1 += w1 * c
-			s2 += w2 * a
-			t2 += w2 * c
-			s3 += w3 * a
-			t3 += w3 * c
-		}
-		if s0 <= 0 {
-			s0 = 0
-		}
-		if s1 <= 0 {
-			s1 = 0
-		}
-		if s2 <= 0 {
-			s2 = 0
-		}
-		if s3 <= 0 {
-			s3 = 0
-		}
-		if t0 <= 0 {
-			t0 = 0
-		}
-		if t1 <= 0 {
-			t1 = 0
-		}
-		if t2 <= 0 {
-			t2 = 0
-		}
-		if t3 <= 0 {
-			t3 = 0
-		}
-		da[o], da[o+1], da[o+2], da[o+3] = s0, s1, s2, s3
-		db[o], db[o+1], db[o+2], db[o+3] = t0, t1, t2, t3
-	}
-	for ; o < rows; o++ {
-		row := w[o*cols : (o+1)*cols]
-		s, t := b[o], b[o]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			w0, w1 := row[i], row[i+1]
-			s += w0*xa[i] + w1*xa[i+1]
-			t += w0*xb[i] + w1*xb[i+1]
-		}
-		for ; i < cols; i++ {
-			s += row[i] * xa[i]
-			t += row[i] * xb[i]
-		}
-		if s <= 0 {
-			s = 0
-		}
-		if t <= 0 {
-			t = 0
-		}
-		da[o] = s
-		db[o] = t
 	}
 }
 

@@ -49,63 +49,6 @@ func TestMatVecBiasF32AsmMatchesRef(t *testing.T) {
 	}
 }
 
-func TestMatVecBias2F32AsmMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for _, sh := range f32Shapes {
-		if sh.cols >= 32 {
-			continue // pair kernel contract: narrow only
-		}
-		xa := randF32(rng, sh.cols)
-		xb := randF32(rng, sh.cols)
-		w := randF32(rng, sh.rows*sh.cols)
-		b := randF32(rng, sh.rows)
-		ga := make([]float32, sh.rows)
-		gb := make([]float32, sh.rows)
-		wa := make([]float32, sh.rows)
-		wb := make([]float32, sh.rows)
-		simd.MatVecBias2F32(ga, gb, xa, xb, w, b, sh.rows, sh.cols)
-		simd.MatVecBias2F32Ref(wa, wb, xa, xb, w, b, sh.rows, sh.cols)
-		for o := range wa {
-			if math.Float32bits(ga[o]) != math.Float32bits(wa[o]) ||
-				math.Float32bits(gb[o]) != math.Float32bits(wb[o]) {
-				t.Fatalf("rows=%d cols=%d out %d: asm (%v,%v) != ref (%v,%v)",
-					sh.rows, sh.cols, o, ga[o], gb[o], wa[o], wb[o])
-			}
-		}
-	}
-}
-
-// TestMatVecBias2F32MatchesSingle is the f32 lane-pairing contract:
-// the pair kernel must equal two single-kernel calls bit-for-bit, so
-// a conv row scored alone at a stride matches the same row scored as
-// half of a pair.
-func TestMatVecBias2F32MatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, sh := range f32Shapes {
-		if sh.cols >= 32 {
-			continue
-		}
-		xa := randF32(rng, sh.cols)
-		xb := randF32(rng, sh.cols)
-		w := randF32(rng, sh.rows*sh.cols)
-		b := randF32(rng, sh.rows)
-		pa := make([]float32, sh.rows)
-		pb := make([]float32, sh.rows)
-		sa := make([]float32, sh.rows)
-		sb := make([]float32, sh.rows)
-		simd.MatVecBias2F32(pa, pb, xa, xb, w, b, sh.rows, sh.cols)
-		simd.MatVecBiasF32(sa, xa, w, b, sh.rows, sh.cols)
-		simd.MatVecBiasF32(sb, xb, w, b, sh.rows, sh.cols)
-		for o := range sa {
-			if math.Float32bits(pa[o]) != math.Float32bits(sa[o]) ||
-				math.Float32bits(pb[o]) != math.Float32bits(sb[o]) {
-				t.Fatalf("rows=%d cols=%d out %d: pair (%v,%v) != single (%v,%v)",
-					sh.rows, sh.cols, o, pa[o], pb[o], sa[o], sb[o])
-			}
-		}
-	}
-}
-
 // TestMatVecBiasF32LaneUniform: every output must be a fixed function
 // of (weight row, x, bias) — computing row o inside a full 4-lane
 // block must equal computing it alone with rows=1.

@@ -91,39 +91,6 @@ func TestMatVecBiasMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMatVecBias2MatchesSingle: the paired two-window kernel must
-// reproduce two separate matVecBias calls bit-for-bit — the streaming
-// path pairs conv rows opportunistically (a Score can split a pair),
-// so grouping must never affect values.
-func TestMatVecBias2MatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, rows := range []int{1, 3, 4, 7, 8, 16} {
-		for _, cols := range []int{1, 2, 5, 15, 21, 31} {
-			w, xa, b := randKernelCase(rng, rows, cols)
-			xb := make([]float64, cols)
-			for i := range xb {
-				xb[i] = rng.NormFloat64() * 100
-			}
-			da := make([]float64, rows)
-			db := make([]float64, rows)
-			matVecBias2(da, db, xa, xb, w, b, rows, cols)
-			wa := make([]float64, rows)
-			wb := make([]float64, rows)
-			matVecBias(wa, xa, w, b, rows, cols)
-			matVecBias(wb, xb, w, b, rows, cols)
-			for o := range da {
-				if math.Float64bits(da[o]) != math.Float64bits(wa[o]) ||
-					math.Float64bits(db[o]) != math.Float64bits(wb[o]) {
-					t.Fatalf("rows=%d cols=%d out %d: paired (%x,%x), single (%x,%x)",
-						rows, cols, o,
-						math.Float64bits(da[o]), math.Float64bits(db[o]),
-						math.Float64bits(wa[o]), math.Float64bits(wb[o]))
-				}
-			}
-		}
-	}
-}
-
 // sparsify zeroes out roughly the given fraction of x, mimicking a
 // ReLU-fed activation vector — the input shape that routes wide calls
 // onto the sparse accumulation path.

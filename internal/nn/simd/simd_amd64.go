@@ -1,10 +1,13 @@
+//go:build !purego
+
 package simd
 
-// SSE/AVX implementations (kernels_amd64.s). Both follow the
-// summation order defined by the Ref functions exactly, so asm and
+// SSE/AVX implementations (kernels_amd64.s). Each follows the
+// operation order defined by its Ref function exactly, so assembly and
 // reference are bit-identical. SSE2 is part of the amd64 baseline, so
-// no feature detection is needed for the base path. Both are NOSPLIT
-// leaves that allocate nothing.
+// MatVecBiasF32 needs no feature detection; the conv row kernels need
+// AVX and tail-call their references without it. All are NOSPLIT
+// assembly that allocates nothing.
 
 // MatVecBiasF32 computes dst[o] = b[o] + Σ_i w[o·cols+i]·x[i] in the
 // package-documented f32 order.
@@ -12,17 +15,22 @@ package simd
 //go:noescape
 func MatVecBiasF32(dst, x, w, b []float32, rows, cols int)
 
-// MatVecBias2F32 runs two input windows against a shared weight
-// matrix, each in the narrow single order. cols must be < 32.
+// ConvRowF32 computes one ReLU'd f32 conv row from filter-major
+// weights, stored or folded into dst's running max (see ConvRowF32Ref).
+// Without AVX it runs ConvRowF32Ref.
 //
 //go:noescape
-func MatVecBias2F32(da, db, xa, xb, w, b []float32, rows, cols int)
+func ConvRowF32(dst, x, wT, b []float32, filters, cols int, fold bool)
+
+// ConvRowF64 is ConvRowF32 at float64 (see ConvRowF64Ref).
+//
+//go:noescape
+func ConvRowF64(dst, x, wT, b []float64, filters, cols int, fold bool)
 
 func cpuHasAVX() bool
 
 // useAVX selects the 8-wide variant of the wide loop inside
-// MatVecBiasF32. The results are bit-identical either way (and to the
-// reference), so the CPU gate selects speed, never values.
-// VMULPS/VADDPS only: FMA would skip the product rounding the
-// reference pins.
+// MatVecBiasF32 and the AVX conv row kernels. The results are
+// bit-identical either way (and to the references), so the CPU gate
+// selects speed, never values.
 var useAVX = cpuHasAVX()

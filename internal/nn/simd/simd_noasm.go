@@ -1,9 +1,11 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package simd
 
-// Portable fallback: the reference implementations are the
-// implementation, so f32 results are identical across platforms.
+// Portable kernels: the reference implementations are the
+// implementation, so results are identical across platforms. The
+// purego tag selects this file on amd64 too, so CI runs the portable
+// kernels against the same tests as the assembly.
 
 // MatVecBiasF32 computes dst[o] = b[o] + Σ_i w[o·cols+i]·x[i] in the
 // package-documented f32 order.
@@ -11,8 +13,13 @@ func MatVecBiasF32(dst, x, w, b []float32, rows, cols int) {
 	MatVecBiasF32Ref(dst, x, w, b, rows, cols)
 }
 
-// MatVecBias2F32 runs two input windows against a shared weight
-// matrix, each in the narrow single order. cols must be < 32.
-func MatVecBias2F32(da, db, xa, xb, w, b []float32, rows, cols int) {
-	MatVecBias2F32Ref(da, db, xa, xb, w, b, rows, cols)
+// ConvRowF32 computes one ReLU'd f32 conv row from filter-major
+// weights, stored or folded into dst's running max (see ConvRowF32Ref).
+func ConvRowF32(dst, x, wT, b []float32, filters, cols int, fold bool) {
+	ConvRowF32Ref(dst, x, wT, b, filters, cols, fold)
+}
+
+// ConvRowF64 is ConvRowF32 at float64 (see ConvRowF64Ref).
+func ConvRowF64(dst, x, wT, b []float64, filters, cols int, fold bool) {
+	ConvRowF64Ref(dst, x, wT, b, filters, cols, fold)
 }

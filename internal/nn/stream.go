@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/nn/simd"
 	"repro/internal/tensor"
 )
 
@@ -17,11 +18,14 @@ import (
 // target's: the model is a read-only constant in flash, and only the
 // per-inference state lives in RAM.
 //
-// At S=float64 the program's parameter slices alias the network's own
-// tensors (so in-place updates stay visible, exactly as when the
-// kernels read the layer tensors directly); at S=float32 they are a
-// rounded copy of the checkpoint (round-to-nearest-even per weight),
-// taken once by CompileOf.
+// Each conv branch's weights are a filter-major copy ([Kernel·InCh ×
+// Filters], transposed once by CompileOf at both widths) that the conv
+// row kernels read one column of filters at a time; its biases are a
+// copy too. The dense head's parameters alias the network's own
+// tensors at S=float64 (so in-place updates stay visible, exactly as
+// when the kernels read the layer tensors directly) and are a rounded
+// copy of the checkpoint at S=float32 (round-to-nearest-even per
+// weight), taken once by CompileOf.
 type ProgramOf[S tensor.Scalar] struct {
 	inCh, window, step int
 
@@ -40,9 +44,9 @@ type ProgramOf[S tensor.Scalar] struct {
 // caches each layer's output in a ring:
 //
 //   - every new input row uncovers exactly one new Conv1D output row
-//     per branch (once Kernel rows of history exist), computed with
-//     the same matVecBias micro-kernel the batch path uses and stored
-//     post-ReLU;
+//     per branch (once Kernel rows of history exist), computed by one
+//     fused conv row kernel call (convInto) that applies the ReLU and
+//     folds the row straight into the pool block's running max;
 //   - max pooling runs on the absolute pooling grid: window starts are
 //     multiples of Step and Step is a multiple of Pool (checked at
 //     compilation), so the pool windows of consecutive decisions are
@@ -57,8 +61,9 @@ type ProgramOf[S tensor.Scalar] struct {
 //
 // Per decision that is O(Step·Kernel·C) conv work plus the head,
 // instead of O(Window·Kernel·C) plus the head — and because every
-// floating-point sum is produced by the same kernel in the same
-// order over the same values, the result is bit-identical to
+// floating-point sum is produced in the same per-output order over the
+// same values (the filter-major conv row kernels follow the row-major
+// kernels' order lane by lane), the result is bit-identical to
 // Network.Predict on the assembled window at S=float64, not merely
 // close. At S=float32 the same order contract makes the f32 streaming
 // and f32 batch paths bit-identical to each other, with the f64
@@ -147,24 +152,20 @@ type branchProgOf[S tensor.Scalar] struct {
 	flat   int  // flattened output length
 	batch  bool // recomputed per decision instead of streamed
 
-	filters   int
-	kernel    int
-	wgt, bias []S // conv parameters
-	pool      int
-	convT     int // conv rows per window = window−Kernel+1
-	fullPool  int // complete pool rows per window = convT/pool
-	tailLo    int // window-relative conv row where the partial pool tail starts (== convT when none)
+	filters  int
+	kernel   int
+	pool     int
+	convT    int // conv rows per window = window−Kernel+1
+	fullPool int // complete pool rows per window = convT/pool
+	tailLo   int // window-relative conv row where the partial pool tail starts (== convT when none)
 
-	// Conv rows are computed in pairs through matVecBias2, which loads
-	// each weight once for two windows: a freshly uncovered row is
-	// deferred (pend/pendA) until its successor arrives, and Score
-	// flushes a leftover single before gathering. Values are identical
-	// either way — the pairing only changes when the arithmetic runs,
-	// never its order. Pairing is disabled (pair == false) when
-	// convT == 1 — the deferred row's input window would not survive
-	// the next push — or when the conv input width reaches matVecBias's
-	// wide path, whose summation order matVecBias2 does not reproduce.
-	pair bool
+	// Conv parameters, copied at compilation. Narrow windows
+	// (Kernel·InCh < 32) hold wgt filter-major, [Kernel·InCh ×
+	// Filters], for the simd conv row kernels. Wide windows hold it
+	// row-major, [Filters × Kernel·InCh], for matVecBiasReLU, whose
+	// wide order does not fit in the filter lanes.
+	wide      bool
+	wgt, bias []S
 }
 
 // branchStreamOf is one stream's state for a compiled branch.
@@ -181,17 +182,14 @@ type branchStreamOf[S tensor.Scalar] struct {
 	awin  int // bring slot of the next conv row's window start (wraps at window)
 
 	// Conv output storage. When the window's conv length is an exact
-	// pool multiple only the running max needs each row and crow/crow2
-	// are one-row scratches; with a partial pool tail the gather must
-	// re-read the newest conv rows, so a full [convT × Filters] ring is
-	// kept.
+	// pool multiple only the running max needs each row, and the conv
+	// row kernel folds it into rmax directly; with a partial pool tail
+	// the gather must re-read the newest conv rows, so a full
+	// [convT × Filters] ring is kept. crow is the one-row scratch a
+	// wide branch folds through.
 	crow     []S
-	crow2    []S
 	convRing []S
 	aslot    int // convRing slot of the next conv row (wraps at convT)
-
-	pend  bool // a conv row is deferred for pairing (see branchProgOf.pair)
-	pendA int  // its absolute row
 
 	// Running max over the current pool block. phase counts conv rows
 	// into the block (== a mod pool); at phase pool−1 the block is
@@ -239,11 +237,13 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 // (MLP, recurrent, other branch stacks) return an error; callers fall
 // back to batch scoring, which is bit-identical at float64.
 //
-// At S=float64 the program shares net's parameters: it reads them
-// live, so net may not be trained while streams of it score. At
-// S=float32 the parameters are lowered copies taken here — a frozen
-// snapshot of the checkpoint, which is how the deployment target
-// consumes a model anyway.
+// The conv branches' parameters are copied here at both widths, the
+// weights transposed to filter-major order for the conv row kernels.
+// The dense head shares net's parameters at S=float64 — it reads them
+// live, so net may not be trained while streams of it score — and
+// holds lowered copies at S=float32. Either way the program is a
+// frozen snapshot of the checkpoint as far as the conv layers go,
+// which is how the deployment target consumes a model anyway.
 func CompileOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*ProgramOf[S], error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("nn: streamer needs a non-empty network")
@@ -339,7 +339,8 @@ func (p *ProgramOf[S]) compileHead(layers []Layer) {
 // branch streams when none of its columns are re-based per window and
 // the stride keeps window starts on the pooling grid (Step divisible
 // by Pool); otherwise it is recomputed per decision in fused row-wise
-// form — same kernel, same values, no intermediate layer tensors.
+// form — same conv row kernel, same values, no intermediate layer
+// tensors.
 func (p *ProgramOf[S]) compileBranch(lo, hi int, stack []Layer) (branchProgOf[S], error) {
 	w := hi - lo
 	var conv *Conv1D
@@ -367,16 +368,22 @@ func (p *ProgramOf[S]) compileBranch(lo, hi int, stack []Layer) (branchProgOf[S]
 			return branchProgOf[S]{}, err
 		}
 	}
+	kc := conv.Kernel * w
 	b := branchProgOf[S]{
 		lo: lo, hi: hi,
 		flat:     shape[0] * shape[1],
 		filters:  conv.Filters,
 		kernel:   conv.Kernel,
-		wgt:      lowerOrAlias[S](conv.Weight.W.Data()),
-		bias:     lowerOrAlias[S](conv.Bias.W.Data()),
 		pool:     mp.Pool,
 		convT:    convT,
 		fullPool: convT / mp.Pool,
+		wide:     kc >= 32,
+		bias:     lowerCopy[S](conv.Bias.W.Data()),
+	}
+	if b.wide {
+		b.wgt = lowerCopy[S](conv.Weight.W.Data())
+	} else {
+		b.wgt = transposeCopy[S](conv.Weight.W.Data(), conv.Filters, kc)
 	}
 	b.tailLo = b.fullPool * mp.Pool
 	rebased := false
@@ -384,7 +391,6 @@ func (p *ProgramOf[S]) compileBranch(lo, hi int, stack []Layer) (branchProgOf[S]
 		rebased = rebased || p.rebase[c]
 	}
 	b.batch = rebased || p.step%mp.Pool != 0
-	b.pair = !b.batch && convT >= 2 && conv.Kernel*w < 32
 	return b, nil
 }
 
@@ -406,8 +412,9 @@ func (p *ProgramOf[S]) NewStreamer() *StreamerOf[S] {
 		// Every batch form (including BatchScore on streaming
 		// branches) assembles the window here.
 		b.in = make([]S, p.window*w)
-		b.crow = make([]S, g.filters)
-		b.crow2 = make([]S, g.filters)
+		if g.wide {
+			b.crow = make([]S, g.filters)
+		}
 		if g.batch {
 			continue
 		}
@@ -476,7 +483,6 @@ func (s *StreamerOf[S]) Restart(base int) {
 		b.awin = base % s.window
 		b.aslot = base % b.convT
 		b.phase = base % b.pool
-		b.pend = false
 		for i := range b.rmax {
 			b.rmax[i] = 0
 		}
@@ -530,122 +536,94 @@ func (s *StreamerOf[S]) Push(row []S) {
 	}
 }
 
-// pushConv handles absolute conv row a, newly uncovered by the latest
-// push. With a predecessor pending the two rows are computed together
-// through matVecBias2ReLU; otherwise the row is deferred for the next
-// push (or for Score's flush). Branches with pairing disabled compute
-// immediately — see the pair field comment.
+// pushConv computes absolute conv row a, newly uncovered by the latest
+// push, and folds it into the running pool max. Without a conv ring
+// the conv row kernel writes into rmax directly (storing at a block's
+// first row, folding after); with one the row is stored in the ring
+// and folded from there.
 //
 //fallvet:hotpath
 func (b *branchStreamOf[S]) pushConv(s *StreamerOf[S], a int) {
-	if !b.pend {
-		if !b.pair {
-			b.convRow(s, a)
-			return
-		}
-		b.pend = true
-		b.pendA = a
-		return
-	}
-	b.pend = false
 	w := b.hi - b.lo
-	kc := b.kernel * w
-	xa := b.bring[b.awin*w : b.awin*w+kc]
-	aw2 := b.awin + 1
-	if aw2 == s.window {
-		aw2 = 0
-	}
-	xb := b.bring[aw2*w : aw2*w+kc]
-	b.awin = aw2 + 1
-	if b.awin == s.window {
-		b.awin = 0
-	}
-	F := b.filters
-	da, db := b.crow, b.crow2
-	if b.convRing != nil {
-		da = b.convRing[b.aslot*F : b.aslot*F+F]
-		b.aslot++
-		if b.aslot == b.convT {
-			b.aslot = 0
-		}
-		db = b.convRing[b.aslot*F : b.aslot*F+F]
-		b.aslot++
-		if b.aslot == b.convT {
-			b.aslot = 0
-		}
-	}
-	matVecBias2ReLU(da, db, xa, xb, b.wgt, b.bias, F, kc)
-	b.absorb(s, da, a-1)
-	b.absorb(s, db, a)
-}
-
-// convRow computes one conv row on its own (pair flush, or a branch
-// with pairing disabled).
-//
-//fallvet:hotpath
-func (b *branchStreamOf[S]) convRow(s *StreamerOf[S], a int) {
-	w := b.hi - b.lo
-	kc := b.kernel * w
-	win := b.bring[b.awin*w : b.awin*w+kc]
+	win := b.bring[b.awin*w : b.awin*w+b.kernel*w]
 	b.awin++
 	if b.awin == s.window {
 		b.awin = 0
 	}
-	F := b.filters
-	orow := b.crow
-	if b.convRing != nil {
-		orow = b.convRing[b.aslot*F : b.aslot*F+F]
+	if b.convRing == nil {
+		b.convInto(b.rmax, win, b.phase != 0)
+	} else {
+		F := b.filters
+		orow := b.convRing[b.aslot*F : b.aslot*F+F]
 		b.aslot++
 		if b.aslot == b.convT {
 			b.aslot = 0
 		}
-	}
-	matVecBiasReLU(orow, win, b.wgt, b.bias, F, kc)
-	b.absorb(s, orow, a)
-}
-
-// flush computes a deferred conv row so every row the current window
-// covers is materialised before a gather.
-//
-//fallvet:hotpath
-func (b *branchStreamOf[S]) flush(s *StreamerOf[S]) {
-	if b.pend {
-		b.pend = false
-		b.convRow(s, b.pendA)
-	}
-}
-
-// absorb folds a conv row (already clamped by the ReLU-fused kernel)
-// into the running pool max and emits a pooled row when it completes a
-// pool block (suppressed for the partial block straddling a mid-stream
-// Restart).
-//
-//fallvet:hotpath
-func (b *branchStreamOf[S]) absorb(s *StreamerOf[S], orow []S, a int) {
-	if b.fullPool == 0 {
-		return
-	}
-	rmax := b.rmax
-	if b.phase == 0 {
-		copy(rmax, orow)
-	} else {
-		for f, v := range orow {
-			if v > rmax[f] {
-				rmax[f] = v
-			}
+		b.convInto(orow, win, false)
+		if b.fullPool == 0 {
+			return
+		}
+		if b.phase == 0 {
+			copy(b.rmax, orow)
+		} else {
+			maxInto(b.rmax, orow)
 		}
 	}
 	b.phase++
 	if b.phase == b.pool {
 		b.phase = 0
+		// Emit the completed block unless it started before the
+		// stream epoch (partial after a mid-stream Restart).
 		if a+1-b.pool >= s.base {
 			F := b.filters
 			p := b.poolSlot * F
-			copy(b.poolRing[p:p+F], rmax)
+			copy(b.poolRing[p:p+F], b.rmax)
 			b.poolSlot++
 			if b.poolSlot == b.fullPool {
 				b.poolSlot = 0
 			}
+		}
+	}
+}
+
+// convInto computes the ReLU'd conv row over input window x into dst:
+// stored, or with fold merged into dst as the pool's running max (dst[f]
+// = v > dst[f] ? v : dst[f], MaxPool1D's strict `>`). Narrow windows run
+// the simd conv row kernel at S's width: filter-major weights, every
+// filter in its own SIMD lane, each lane following the per-output order
+// of matVecBiasReLU's narrow path at that width exactly — so the row is
+// bit-identical to the row-major kernel's (DESIGN.md §12.2). Wide
+// windows compute the row-major row and fold it from crow.
+//
+//fallvet:hotpath
+func (b *branchStreamOf[S]) convInto(dst, x []S, fold bool) {
+	F := b.filters
+	kc := b.kernel * (b.hi - b.lo)
+	switch {
+	case b.wide:
+		if !fold {
+			matVecBiasReLU(dst, x, b.wgt, b.bias, F, kc)
+			return
+		}
+		matVecBiasReLU(b.crow, x, b.wgt, b.bias, F, kc)
+		maxInto(dst, b.crow)
+	case tensor.Is64[S]():
+		//fallvet:ignore hottrans simd.ConvRowF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free ConvRowF64Ref)
+		simd.ConvRowF64(f64s(dst), f64s(x), f64s(b.wgt), f64s(b.bias), F, kc, fold)
+	default:
+		//fallvet:ignore hottrans simd.ConvRowF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free ConvRowF32Ref)
+		simd.ConvRowF32(f32s(dst), f32s(x), f32s(b.wgt), f32s(b.bias), F, kc, fold)
+	}
+}
+
+// maxInto folds row into the running max dst with MaxPool1D's strict
+// `>`: dst[f] = v > dst[f] ? v : dst[f].
+//
+//fallvet:hotpath
+func maxInto[S tensor.Scalar](dst, row []S) {
+	for f, v := range row {
+		if v > dst[f] {
+			dst[f] = v
 		}
 	}
 }
@@ -680,7 +658,6 @@ func (s *StreamerOf[S]) Score() float64 {
 		if b.batch {
 			s.runBatchBranch(b, s.cat[off:off+b.flat], start)
 		} else {
-			b.flush(s)
 			b.gather(s.cat[off:off+b.flat], start)
 		}
 		off += b.flat
@@ -762,12 +739,7 @@ func (b *branchStreamOf[S]) gather(dst []S, start int) {
 			if cs == b.convT {
 				cs = 0
 			}
-			row := b.convRing[cs*F : cs*F+F]
-			for f, v := range row {
-				if v > dst[n+f] {
-					dst[n+f] = v
-				}
-			}
+			maxInto(dst[n:n+F], b.convRing[cs*F:cs*F+F])
 		}
 	}
 }
@@ -807,11 +779,13 @@ func (s *StreamerOf[S]) runBatchBranch(b *branchStreamOf[S], dst []S, start int)
 
 // fusedConvPool evaluates a canonical Conv→ReLU→MaxPool stack over the
 // assembled window row-wise, writing pooled rows (and the trailing
-// partial block) straight into dst. It produces bit-identical values
-// to the layer objects — each conv row goes through the same
-// matVecBias call on the same contiguous input slice, ReLU is the same
-// v ≤ 0 clamp, pooling the same strict-`>` running max — while
-// skipping every intermediate tensor.
+// partial block) straight into dst: each conv row is computed by
+// convInto directly into its pooled segment, stored at a block's first
+// row and folded into the running max after. It produces bit-identical
+// values to the layer objects — each conv row in the same per-output
+// order over the same contiguous input slice, ReLU the same v ≤ 0
+// clamp, pooling the same strict-`>` running max — while skipping
+// every intermediate tensor.
 //
 //fallvet:hotpath
 func (b *branchStreamOf[S]) fusedConvPool(dst, ind []S) {
@@ -819,41 +793,12 @@ func (b *branchStreamOf[S]) fusedConvPool(dst, ind []S) {
 	kc := b.kernel * w
 	F := b.filters
 	phase, n := 0, 0
-	t := 0
-	if kc < 32 {
-		for ; t+2 <= b.convT; t += 2 {
-			matVecBias2ReLU(b.crow, b.crow2, ind[t*w:t*w+kc], ind[(t+1)*w:(t+1)*w+kc], b.wgt, b.bias, F, kc)
-			phase, n = b.fusedAbsorb(dst, b.crow, phase, n)
-			phase, n = b.fusedAbsorb(dst, b.crow2, phase, n)
+	for t := 0; t < b.convT; t++ {
+		b.convInto(dst[n:n+F], ind[t*w:t*w+kc], phase != 0)
+		phase++
+		if phase == b.pool {
+			phase = 0
+			n += F
 		}
 	}
-	for ; t < b.convT; t++ {
-		matVecBiasReLU(b.crow, ind[t*w:t*w+kc], b.wgt, b.bias, F, kc)
-		phase, n = b.fusedAbsorb(dst, b.crow, phase, n)
-	}
-}
-
-// fusedAbsorb folds one fused conv row (pre-clamped by the ReLU-fused
-// kernel) into the pooled output at block offset n, returning the
-// advanced (phase, n).
-//
-//fallvet:hotpath
-func (b *branchStreamOf[S]) fusedAbsorb(dst, crow []S, phase, n int) (int, int) {
-	F := b.filters
-	seg := dst[n : n+F]
-	if phase == 0 {
-		copy(seg, crow)
-	} else {
-		for f, v := range crow {
-			if v > seg[f] {
-				seg[f] = v
-			}
-		}
-	}
-	phase++
-	if phase == b.pool {
-		phase = 0
-		n += F
-	}
-	return phase, n
 }

@@ -10,17 +10,18 @@ import (
 
 // streamTestNet builds a branch CNN in the paper's shape: per-branch
 // Conv1D(w→filters, kernel)→ReLU→MaxPool1D(pool) stacks over the given
-// column ranges, then Dense(→16)→ReLU→Dense(→1)→Sigmoid.
+// column ranges, then Dense(→16)→ReLU→Dense(→1)→Sigmoid. Conv biases
+// are drawn nonzero so every lane's bias add is exercised.
 func streamTestNet(t *testing.T, window int, cols [][2]int, filters, kernel, pool int, rng *rand.Rand) *Network {
 	t.Helper()
 	stacks := make([][]Layer, len(cols))
 	total := 0
 	for i, c := range cols {
-		stacks[i] = []Layer{
-			NewConv1D(c[1]-c[0], filters, kernel, rng),
-			NewReLU(),
-			NewMaxPool1D(pool),
+		conv := NewConv1D(c[1]-c[0], filters, kernel, rng)
+		for f := range conv.Bias.W.Data() {
+			conv.Bias.W.Data()[f] = rng.NormFloat64() * 0.1
 		}
+		stacks[i] = []Layer{conv, NewReLU(), NewMaxPool1D(pool)}
 		convT := window - kernel + 1
 		total += (convT + pool - 1) / pool * filters
 	}
@@ -63,42 +64,61 @@ func pushRandomRow(rng *rand.Rand, inCh int) []float64 {
 // TestStreamerBitIdenticalToPredict drives random streams through the
 // incremental path and the full-window batch path at every aligned
 // stride and requires bit-equality, across geometries that exercise
-// rebased (batch-form) branches, partial pool tails, and small rings.
+// rebased (batch-form) branches, partial pool tails, small rings,
+// filter counts that leave ragged SIMD lane tiles, conv windows
+// (Kernel·InCh) from 1 up to the lane kernels' limit of 31, and one
+// window of 33 that pins the row-major fallback. At f64 the batch side
+// is Network.Predict, whose Conv1D.Forward runs the independent
+// row-major kernel; the f32 streamer is held to its own BatchScore.
 func TestStreamerBitIdenticalToPredict(t *testing.T) {
 	cases := []struct {
 		name         string
 		window, step int
 		cols         [][2]int
 		inCh         int
+		filters      int
 		kernel, pool int
 		rebase       []int
 	}{
-		{"paper-cnn", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 5, 2, []int{8}},
-		{"accel-only", 40, 20, [][2]int{{0, 3}}, 9, 5, 2, nil},
-		{"partial-tail", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 4, 2, nil},
-		{"pool3", 30, 6, [][2]int{{0, 3}}, 3, 5, 3, nil},
-		{"no-stream-all-rebased", 20, 4, [][2]int{{0, 2}}, 2, 3, 2, []int{0}},
+		{"paper-cnn", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}},
+		{"accel-only", 40, 20, [][2]int{{0, 3}}, 9, 8, 5, 2, nil},
+		{"partial-tail", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 8, 4, 2, nil},
+		{"pool3", 30, 6, [][2]int{{0, 3}}, 3, 8, 5, 3, nil},
+		{"no-stream-all-rebased", 20, 4, [][2]int{{0, 2}}, 2, 8, 3, 2, []int{0}},
+		{"ragged-filters-7", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 7, 5, 2, []int{5}},
+		{"ragged-filters-12", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil},
+		{"kc-1", 20, 4, [][2]int{{0, 1}, {1, 2}}, 2, 5, 1, 2, []int{1}},
+		{"kc-30", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 16, 10, 2, []int{5}},
+		{"kc-33-row-major", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 6, 11, 4, []int{5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			net := streamTestNet(t, tc.window, tc.cols, 8, tc.kernel, tc.pool, rng)
-			st, err := NewStreamer(net, StreamConfig{
-				InCh: tc.inCh, Window: tc.window, Step: tc.step, RebaseCols: tc.rebase,
-			})
+			net := streamTestNet(t, tc.window, tc.cols, tc.filters, tc.kernel, tc.pool, rng)
+			cfg := StreamConfig{InCh: tc.inCh, Window: tc.window, Step: tc.step, RebaseCols: tc.rebase}
+			st, err := NewStreamer(net, cfg)
 			if err != nil {
 				t.Fatalf("NewStreamer: %v", err)
 			}
+			st32, err := NewStreamerOf[float32](net, cfg)
+			if err != nil {
+				t.Fatalf("NewStreamerOf[float32]: %v", err)
+			}
+			row32 := make([]float32, tc.inCh)
 			var rows [][]float64
 			compared := 0
 			for i := 0; i < 5*tc.window; i++ {
 				row := pushRandomRow(rng, tc.inCh)
 				rows = append(rows, row)
 				st.Push(row)
+				for c, v := range row {
+					row32[c] = float32(v)
+				}
+				st32.Push(row32)
 				if len(rows) < tc.window || (len(rows)-tc.window)%tc.step != 0 {
 					continue
 				}
-				if !st.Ready() {
+				if !st.Ready() || !st32.Ready() {
 					t.Fatalf("streamer not Ready at stride %d", len(rows))
 				}
 				got := st.Score()
@@ -106,6 +126,9 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("row %d: incremental %x (%.17g), batch %x (%.17g)",
 						len(rows), math.Float64bits(got), got, math.Float64bits(want), want)
+				}
+				if got, want := st32.Score(), st32.BatchScore(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("row %d: f32 incremental %.9g, f32 batch %.9g", len(rows), got, want)
 				}
 				compared++
 			}

@@ -24,7 +24,14 @@
 #      goroutines each drive a float32 cascade streaming from one
 #      shared compiled model, and every stream must match its
 #      single-threaded reference
-#   6. fuzz smoke            — 10 s each on the hostile-input fuzz
+#   6. portable kernels      — go test -tags purego on nn, edge and
+#      cascade: the purego tag swaps every simd assembly kernel for its
+#      portable Go reference (the !amd64 implementation), so the
+#      reference kernels run in CI on an amd64 host too. At f64 the
+#      streaming ≡ layer-forward tests then check the portable
+#      filter-major conv row kernel against the independent row-major
+#      Conv1D.Forward
+#   7. fuzz smoke            — 10 s each on the hostile-input fuzz
 #      targets: FuzzQuantLoad (model-image loader must never panic or
 #      over-allocate on arbitrary bytes), FuzzDetectorPush (the
 #      streaming pipeline must survive arbitrary sensor input),
@@ -34,27 +41,27 @@
 #      bit-identical to full-window batch rescoring on arbitrary
 #      streams of wear, faults and gaps — the DESIGN §12 equivalence
 #      oracle)
-#   7. precision agreement   — the float32 path must agree with the
+#   8. precision agreement   — the float32 path must agree with the
 #      float64 path: the decision-agreement tests run the full
 #      fault-injection sweep at both widths by name, and
 #      FuzzPrecisionScore gets a 10 s smoke (arbitrary streams of
 #      wear, faults and gaps must keep the f32/f64 score gap inside
 #      the documented tolerance)
-#   8. cascade determinism   — the fault sweep over the cascade must be
+#   9. cascade determinism   — the fault sweep over the cascade must be
 #      bit-identical on 1 worker and 4 (run redundantly from the suite,
 #      but cheap and load-bearing enough to gate by name)
-#   9. soak smoke            — the serving-runtime chaos soak at CI
+#  10. soak smoke            — the serving-runtime chaos soak at CI
 #      size (16 streams, 2 injected mid-fall panics, burst/stall/
 #      jitter profiles, one crash-loop) via fallserve -check: zero
 #      missed deadlines on healthy sessions, bit-identical
 #      post-restore decision streams, goroutine-leak check clean,
 #      heap growth bounded
-#  10. perfbench self-tests  — `go ./...` skips underscore
+#  11. perfbench self-tests  — `go ./...` skips underscore
 #      directories, so the served-cascade benchmark module
 #      (_perfbench, its own go.mod) gets go vet and go test here, in
 #      the same isolated module environment _perfbench/run.sh builds
 #      it with (caches under .bench_build, GOWORK/GOENV off)
-#  11. bench gate            — scripts/bench.sh -short: the hot-path
+#  12. bench gate            — scripts/bench.sh -short: the hot-path
 #      benchmarks run briefly with -benchmem; the gate fails when a
 #      steady-state path that must be allocation-free (streaming push,
 #      quantized predict, cascade/serve push, warm snapshots) reports
@@ -84,6 +91,8 @@ go test ./...
 echo "== go test -race ./..."
 go test -race ./...
 go test -race -count=10 -run='^TestCascadeStreamsConcurrent$' ./falldet
+echo "== portable kernels: go test -tags purego"
+go test -count=1 -tags purego ./internal/nn/... ./internal/edge ./internal/cascade
 echo "== fuzz smoke: FuzzQuantLoad (10s)"
 go test ./internal/quant -run='^$' -fuzz='^FuzzQuantLoad$' -fuzztime=10s
 echo "== fuzz smoke: FuzzDetectorPush (10s)"
