@@ -8,8 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/imu"
 	"repro/internal/model"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // wearSample is one step of a synthetic wear stream: a reading, or a
@@ -47,7 +50,7 @@ func wearStream(seed int64, n int) []wearSample {
 }
 
 // decide drives one cascade through in and returns every decision.
-func decide(c *StreamCascadeF32, in []wearSample) []CascadeDecision {
+func decide[S tensor.Scalar](c *cascade.CascadeOf[S], in []wearSample) []CascadeDecision {
 	out := make([]CascadeDecision, 0, len(in))
 	for _, s := range in {
 		if s.gap > 0 {
@@ -91,6 +94,27 @@ func loweredBytes(t *testing.T, cd *CascadeDetector) uint64 {
 	return n
 }
 
+// transposedHeadBytes is the size of both tiers' wide head Dense
+// weights (In ≥ 32) at float64 — the copy the compiled program
+// transposes for the head kernels, which a pipeline that compiled its
+// own program would allocate on top of its rings.
+func transposedHeadBytes(t *testing.T, cd *CascadeDetector) uint64 {
+	t.Helper()
+	var n uint64
+	for _, det := range []*Detector{cd.primary, cd.fallback} {
+		nm, ok := det.model.(*model.NetModel)
+		if !ok {
+			t.Fatalf("%v is not a network model", det.kind)
+		}
+		for _, l := range nm.Net.Layers {
+			if d, ok := l.(*nn.Dense); ok && d.In >= 32 {
+				n += 8 * uint64(d.In*d.Out)
+			}
+		}
+	}
+	return n
+}
+
 // TestCascadeStreamsShareCompiledWeights: every StreamF32 pipeline of
 // one CascadeDetector reads the weights lowered by the first, so a
 // second pipeline costs only its rings — and the sharing changes no
@@ -98,6 +122,26 @@ func loweredBytes(t *testing.T, cd *CascadeDetector) uint64 {
 // pipeline of a freshly loaded copy bit for bit.
 func TestCascadeStreamsShareCompiledWeights(t *testing.T) {
 	cd := rawCascade(t, Config{Seed: 4}) // the paper's 400 ms geometry
+	checkStreamsShare(t, cd, (*CascadeDetector).StreamF32, loweredBytes(t, cd), "the lowered weights of both tiers")
+}
+
+// TestCascadeStreamsShareTransposedHead: the float64 Stream pipelines
+// of one CascadeDetector share the first one's program too, whose head
+// weights are a transposed copy rather than the layers' own tensors:
+// a second pipeline allocates less than that copy, and decides exactly
+// as a pipeline of a freshly loaded copy.
+func TestCascadeStreamsShareTransposedHead(t *testing.T) {
+	cd := rawCascade(t, Config{Seed: 4})
+	checkStreamsShare(t, cd, (*CascadeDetector).Stream, transposedHeadBytes(t, cd), "the transposed head of both tiers")
+}
+
+// checkStreamsShare opens two pipelines of cd with open, requires the
+// second to allocate less than bound — the weights a pipeline that
+// compiled its own program would copy before its first ring — and
+// drives both interleaved against a pipeline of a freshly loaded copy
+// of cd, bit for bit.
+func checkStreamsShare[S tensor.Scalar](t *testing.T, cd *CascadeDetector, open func(*CascadeDetector) (*cascade.CascadeOf[S], error), bound uint64, what string) {
+	t.Helper()
 	var img bytes.Buffer
 	if err := cd.Save(&img); err != nil {
 		t.Fatal(err)
@@ -106,31 +150,27 @@ func TestCascadeStreamsShareCompiledWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fresh.StreamF32()
+	ref, err := open(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cd.StreamF32()
+	first, err := open(cd)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The bound: strictly less than the lowered weights. A pipeline
-	// that lowered its own copy allocates at least that much before
-	// its first ring.
-	lowered := loweredBytes(t, cd)
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	second, err := cd.StreamF32()
+	second, err := open(cd)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m1.TotalAlloc - m0.TotalAlloc; got >= lowered {
-		t.Fatalf("second StreamF32 allocated %d B, want < %d B (the lowered weights of both tiers)", got, lowered)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= bound {
+		t.Fatalf("second pipeline allocated %d B, want < %d B (%s)", got, bound, what)
 	} else {
-		t.Logf("second StreamF32 allocated %d B; the lowered weights are %d B", got, lowered)
+		t.Logf("second pipeline allocated %d B; bound (%s) %d B", got, what, bound)
 	}
 
 	in := wearStream(11, 1200)

@@ -157,6 +157,7 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.StreamerOf.Score":             streamAlloc,
 	"internal/nn.StreamerOf.BatchScore":        streamAlloc,
 	"internal/nn.StreamerOf.runHead":           streamAlloc,
+	"internal/nn.headStepOf.denseInto":         streamAlloc,
 	"internal/nn.StreamerOf.runBatchBranch":    streamAlloc,
 	"internal/nn.branchStreamOf.pushConv":      streamAlloc,
 	"internal/nn.branchStreamOf.convInto":      streamAlloc,
@@ -358,8 +359,11 @@ func TestSnapshotPairSet(t *testing.T) {
 // head programs it holds — is shared by every stream of a model, on
 // any goroutine, so no function in package nn but the compilers may
 // store into its fields: no assignment, increment or copy whose target
-// reaches a program field, directly, through an embedded program or
-// through an element of a program slice.
+// reaches a program field, directly, through an embedded program,
+// through an element of a program slice or through an f64s/f32s view,
+// and no kernel call whose dst argument does. The kernels' other
+// slices (the transposed conv and head weights, the biases) are read
+// only.
 func TestCompiledProgramReadOnly(t *testing.T) {
 	var nn *Package
 	for _, p := range loadRepoPasses(t) {
@@ -395,6 +399,12 @@ func TestCompiledProgramReadOnly(t *testing.T) {
 				e = x.X
 			case *ast.StarExpr:
 				e = x.X
+			case *ast.CallExpr:
+				id, ok := x.Fun.(*ast.Ident)
+				if !ok || (id.Name != "f64s" && id.Name != "f32s") || len(x.Args) != 1 {
+					return nil
+				}
+				e = x.Args[0]
 			case *ast.SelectorExpr:
 				if sel := nn.Info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
 					if v := sel.Obj().(*types.Var).Origin(); shared[v] != "" {
@@ -424,6 +434,10 @@ func TestCompiledProgramReadOnly(t *testing.T) {
 					targets = []ast.Expr{n.X}
 				case *ast.CallExpr:
 					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "copy" && len(n.Args) == 2 {
+						targets = n.Args[:1]
+					}
+					if sig, ok := nn.Info.TypeOf(n.Fun).(*types.Signature); ok && len(n.Args) > 0 &&
+						sig.Params().Len() > 0 && sig.Params().At(0).Name() == "dst" {
 						targets = n.Args[:1]
 					}
 				}

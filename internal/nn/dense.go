@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -15,6 +16,12 @@ type Dense struct {
 
 	x     *tensor.Tensor // forward cache
 	y, dx *tensor.Tensor // scratch, reused across calls
+
+	// lanes holds the head lane kernels' copy of Weight at each width
+	// (index 0 float64, 1 float32), shared by every program compiled
+	// from this layer while its weights are unchanged (laneWeights).
+	lanesMu sync.Mutex
+	lanes   [2]any
 }
 
 // NewDense returns a Glorot-initialised fully connected layer.

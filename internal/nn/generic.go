@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"repro/internal/nn/simd"
 	"repro/internal/tensor"
 )
 
@@ -12,18 +13,6 @@ import (
 // scalar width with one definition, and so the float64 instantiation
 // is literally the same expression the layer objects evaluate
 // (bit-identity by construction, not by tolerance).
-
-// lowerOrAlias returns src as a []S: at S=float64 it returns src
-// itself (so in-place parameter updates stay visible to the compiled
-// path, exactly as when the kernels read the layer tensors directly),
-// and at S=float32 it returns a rounded copy — a lowered snapshot of
-// the checkpoint, taken once by CompileOf.
-func lowerOrAlias[S tensor.Scalar](src []float64) []S {
-	if s, ok := any(src).([]S); ok {
-		return s
-	}
-	return lowerCopy[S](src)
-}
 
 // lowerCopy returns a fresh []S copy of src, rounded at S=float32.
 func lowerCopy[S tensor.Scalar](src []float64) []S {
@@ -44,6 +33,45 @@ func transposeCopy[S tensor.Scalar](src []float64, rows, cols int) []S {
 		}
 	}
 	return out
+}
+
+// headCopy returns the weights of a head Dense layer for the head lane
+// kernels: the row-major [rows × cols] matrix src transposed to one
+// row of rows values per input column, rounded at S=float32. At
+// float64 row i holds column i; at float32 the rows follow
+// simd.HeadRowF32's class-grouped order.
+func headCopy[S tensor.Scalar](src []float64, rows, cols int) []S {
+	out := make([]S, len(src))
+	for c := 0; c < cols; c++ {
+		row := out[headRow[S](c, cols)*rows:][:rows]
+		for o := range row {
+			row[o] = S(src[o*cols+c])
+		}
+	}
+	return out
+}
+
+// headMatches reports whether wT equals headCopy(src, rows, cols) bit
+// for bit.
+func headMatches[S tensor.Scalar](wT []S, src []float64, rows, cols int) bool {
+	for c := 0; c < cols; c++ {
+		row := wT[headRow[S](c, cols)*rows:][:rows]
+		for o, v := range row {
+			if math.Float64bits(float64(v)) != math.Float64bits(float64(S(src[o*cols+c]))) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// headRow returns the row of headCopy's layout that holds input column
+// c of a cols-wide layer at width S.
+func headRow[S tensor.Scalar](c, cols int) int {
+	if tensor.Is64[S]() {
+		return c
+	}
+	return simd.HeadRowF32(c, cols)
 }
 
 // reluInto writes max(v, 0) element-wise — ReLU.Forward's exact clamp

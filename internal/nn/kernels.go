@@ -26,7 +26,9 @@ import (
 // applies to it. The streaming engine's narrow conv rows run the
 // filter-major simd conv row kernels instead (branchStreamOf.convInto),
 // which follow the same per-output order as the narrow path here, one
-// filter per SIMD lane (DESIGN.md §12.2).
+// filter per SIMD lane (DESIGN.md §12.2), and its wide head layers the
+// output-lane simd head kernels (headStepOf.denseInto), which follow
+// matVecBiasWide's and matVecBiasSparse's orders, one output per lane.
 //
 // The float32 instantiation never reaches the scalar bodies below:
 // every entry kernel dispatches it to the SIMD path, whose
@@ -172,8 +174,9 @@ func matVecBiasReLU[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 }
 
 // maxSparseCols bounds the stack-allocated nonzero index scratch in
-// matVecBiasWide; wider layers always take the dense path.
-const maxSparseCols = 1152
+// matVecBiasWide; wider layers always take the dense path. The head
+// kernels share the bound, so both switch at the same widths.
+const maxSparseCols = simd.MaxSparseCols
 
 // matVecBiasWide is the cols ≥ 32 body of matVecBias: the same 4-wide
 // output blocking with a deeper 4-way input unroll, which is worth

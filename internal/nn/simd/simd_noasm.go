@@ -23,3 +23,15 @@ func ConvRowF32(dst, x, wT, b []float32, filters, cols int, fold bool) {
 func ConvRowF64(dst, x, wT, b []float64, filters, cols int, fold bool) {
 	ConvRowF64Ref(dst, x, wT, b, filters, cols, fold)
 }
+
+// HeadF64 computes one dense head layer from transposed weights (see
+// HeadF64Ref).
+func HeadF64(dst, x, wT, b []float64, rows, cols int, relu bool) {
+	HeadF64Ref(dst, x, wT, b, rows, cols, relu)
+}
+
+// HeadF32 computes one dense head layer from class-grouped transposed
+// weights (see HeadF32Ref).
+func HeadF32(dst, x, wT, b []float32, rows, cols int, relu bool) {
+	HeadF32Ref(dst, x, wT, b, rows, cols, relu)
+}

@@ -18,14 +18,18 @@ import (
 // target's: the model is a read-only constant in flash, and only the
 // per-inference state lives in RAM.
 //
-// Each conv branch's weights are a filter-major copy ([Kernel·InCh ×
-// Filters], transposed once by CompileOf at both widths) that the conv
-// row kernels read one column of filters at a time; its biases are a
-// copy too. The dense head's parameters alias the network's own
-// tensors at S=float64 (so in-place updates stay visible, exactly as
-// when the kernels read the layer tensors directly) and are a rounded
-// copy of the checkpoint at S=float32 (round-to-nearest-even per
-// weight), taken once by CompileOf.
+// Every parameter is a copy taken by CompileOf, rounded to
+// nearest-even per weight at S=float32, so a program is a frozen
+// snapshot of the checkpoint at both widths. Each conv branch's
+// weights are filter-major ([Kernel·InCh × Filters]) so the conv row
+// kernels read one column of filters at a time. Each wide head Dense
+// layer (In ≥ 32; at S=float32 also Out ≥ simd.HeadTileF32) is
+// transposed to one row of Out weights per input
+// column ([In × Out]; at S=float32 with the superblock columns grouped
+// by partial class, see simd.HeadRowF32) so the head kernels keep one
+// output per SIMD lane and skip the rows of exact-zero inputs; that
+// copy is shared by every program compiled from the unchanged layer
+// (laneWeights).
 type ProgramOf[S tensor.Scalar] struct {
 	inCh, window, step int
 
@@ -128,20 +132,28 @@ const (
 
 // headStepOf is one precompiled step of the dense head. Dense layers
 // (optionally with their following ReLU folded in) run straight
-// through the micro-kernels into a stream-owned buffer; lone
-// activations run through the generic element-wise helpers, which at
-// float64 evaluate exactly the layer objects' expressions. Flatten is
-// the identity on the 1-D head and compiles to no step at all. Every
-// step therefore produces bit-identical values to the layer stack at
-// S=float64 while skipping per-layer tensor bookkeeping on the
-// decision path — and gives float32 a complete head with no float64
-// layer objects in the loop.
+// through the kernels into a stream-owned buffer: wide ones (In ≥ 32)
+// through the simd head kernels, one output per lane, narrow ones
+// through the row-major micro-kernels (see lanes). Lone activations run through
+// the generic element-wise helpers, which at float64 evaluate exactly
+// the layer objects' expressions. Flatten is the identity on the 1-D
+// head and compiles to no step at all. Every step therefore produces
+// bit-identical values to the layer stack at S=float64 while skipping
+// per-layer tensor bookkeeping on the decision path — and gives
+// float32 a complete head with no float64 layer objects in the loop.
 type headStepOf[S tensor.Scalar] struct {
 	op      headOp
 	relu    bool // headDense: fold the following ReLU into the kernel's stores
 	out, in int  // headDense dimensions
-	w, b    []S  // headDense parameters
-	width   int  // step output length
+	// headDense parameters, copied at compilation. Steps that run the
+	// head lane kernels hold w transposed (headCopy, shared by the
+	// programs of an unchanged layer); the others hold it row-major,
+	// [Out × In], for matVecBias: narrow layers (In < 32), whose f64
+	// order the lanes do not follow, and f32 layers with fewer outputs
+	// than a register tile.
+	lanes bool
+	w, b  []S
+	width int // step output length
 }
 
 // branchProgOf is one Branch column range compiled from a canonical
@@ -237,13 +249,13 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 // (MLP, recurrent, other branch stacks) return an error; callers fall
 // back to batch scoring, which is bit-identical at float64.
 //
-// The conv branches' parameters are copied here at both widths, the
-// weights transposed to filter-major order for the conv row kernels.
-// The dense head shares net's parameters at S=float64 — it reads them
-// live, so net may not be trained while streams of it score — and
-// holds lowered copies at S=float32. Either way the program is a
-// frozen snapshot of the checkpoint as far as the conv layers go,
-// which is how the deployment target consumes a model anyway.
+// Every parameter is copied here at both widths: the conv weights
+// transposed to filter-major order for the conv row kernels, the wide
+// head Dense weights transposed for the head kernels (one copy per
+// layer and width while the layer is unchanged). The program is a
+// frozen snapshot of the checkpoint — training net afterwards changes
+// no program compiled from it — which is how the deployment target
+// consumes a model anyway.
 func CompileOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*ProgramOf[S], error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("nn: streamer needs a non-empty network")
@@ -301,10 +313,10 @@ func CompileOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*ProgramOf[S], 
 }
 
 // compileHead precompiles the validated head layers into headSteps:
-// Dense layers run through the micro-kernels (a ReLU directly after a
-// Dense folds into its stores), lone activations through the generic
-// element-wise helpers, and Flatten — the identity on the 1-D head —
-// compiles away entirely.
+// Dense layers run through the head or micro-kernels (a ReLU directly
+// after a Dense folds into its stores), lone activations through the
+// generic element-wise helpers, and Flatten — the identity on the 1-D
+// head — compiles away entirely.
 func (p *ProgramOf[S]) compileHead(layers []Layer) {
 	width := p.width
 	for i := 0; i < len(layers); i++ {
@@ -312,8 +324,16 @@ func (p *ProgramOf[S]) compileHead(layers []Layer) {
 		case *Dense:
 			st := headStepOf[S]{
 				op: headDense, out: l.Out, in: l.In, width: l.Out,
-				w: lowerOrAlias[S](l.Weight.W.Data()),
-				b: lowerOrAlias[S](l.Bias.W.Data()),
+				// The f64 lanes beat the scalar row-major kernel at
+				// any Out; the f32 ones need a full register tile to
+				// beat the SIMD row-major kernel.
+				lanes: l.In >= 32 && (tensor.Is64[S]() || l.Out >= simd.HeadTileF32),
+				b:     lowerCopy[S](l.Bias.W.Data()),
+			}
+			if st.lanes {
+				st.w = laneWeights[S](l)
+			} else {
+				st.w = lowerCopy[S](l.Weight.W.Data())
 			}
 			if i+1 < len(layers) {
 				if _, ok := layers[i+1].(*ReLU); ok {
@@ -333,6 +353,29 @@ func (p *ProgramOf[S]) compileHead(layers []Layer) {
 			// identity on a 1-D head: no step
 		}
 	}
+}
+
+// laneWeights returns d's weights laid out for the head lane kernels
+// at width S (headCopy). Every program compiled from d while its
+// weights are unchanged shares one copy, so a caller that compiles one
+// program per stream pays for its rings, not for another copy of the
+// head. A cached copy is reused
+// only while it still equals a fresh layout of the weights, so a layer
+// trained after a compilation gets a new copy and every earlier
+// program keeps its frozen snapshot.
+func laneWeights[S tensor.Scalar](d *Dense) []S {
+	i := 0
+	if !tensor.Is64[S]() {
+		i = 1
+	}
+	d.lanesMu.Lock()
+	defer d.lanesMu.Unlock()
+	if w, ok := d.lanes[i].([]S); ok && headMatches(w, d.Weight.W.Data(), d.Out, d.In) {
+		return w
+	}
+	w := headCopy[S](d.Weight.W.Data(), d.Out, d.In)
+	d.lanes[i] = w
+	return w
 }
 
 // compileBranch compiles one branch's stack over columns [lo, hi). The
@@ -696,11 +739,7 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 		buf := s.hbuf[i]
 		switch st.op {
 		case headDense:
-			if st.relu {
-				matVecBiasReLU(buf, cur, st.w, st.b, st.out, st.in)
-			} else {
-				matVecBias(buf, cur, st.w, st.b, st.out, st.in)
-			}
+			st.denseInto(buf, cur)
 		case headReLU:
 			reluInto(buf, cur)
 		case headSigmoid:
@@ -711,6 +750,31 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 		cur = buf
 	}
 	return cur[0]
+}
+
+// denseInto computes a Dense step, with its folded ReLU, over x into
+// dst. Lane steps run the head kernel at S's width: transposed
+// weights, every output in its own SIMD lane following the per-output
+// order of the row-major kernel at that width exactly, with the
+// exact-zero inputs skipped wherever that order allows — so the step
+// is bit-identical to Dense.Forward at S=float64 and to the row-major
+// f32 kernel at S=float32 (DESIGN.md §12.1). The other steps run the
+// row-major kernels themselves.
+//
+//fallvet:hotpath
+func (st *headStepOf[S]) denseInto(dst, x []S) {
+	switch {
+	case !st.lanes && st.relu:
+		matVecBiasReLU(dst, x, st.w, st.b, st.out, st.in)
+	case !st.lanes:
+		matVecBias(dst, x, st.w, st.b, st.out, st.in)
+	case tensor.Is64[S]():
+		//fallvet:ignore hottrans simd.HeadF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free HeadF64Ref, with AVX its NOSPLIT body headF64AVX, whose scratch is its own frame)
+		simd.HeadF64(f64s(dst), f64s(x), f64s(st.w), f64s(st.b), st.out, st.in, st.relu)
+	default:
+		//fallvet:ignore hottrans simd.HeadF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free HeadF32Ref, with AVX its body headF32AVX, whose scratch is its own frame)
+		simd.HeadF32(f32s(dst), f32s(x), f32s(st.w), f32s(st.b), st.out, st.in, st.relu)
+	}
 }
 
 // gather copies the window's pooled rows (plus the partial tail, if

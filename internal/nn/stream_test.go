@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/nn/simd"
 	"repro/internal/tensor"
 )
 
@@ -13,13 +14,21 @@ import (
 // column ranges, then Dense(→16)→ReLU→Dense(→1)→Sigmoid. Conv biases
 // are drawn nonzero so every lane's bias add is exercised.
 func streamTestNet(t *testing.T, window int, cols [][2]int, filters, kernel, pool int, rng *rand.Rand) *Network {
+	return streamHeadNet(t, window, cols, filters, kernel, pool, 16, 0, rng)
+}
+
+// streamHeadNet is streamTestNet with hidden units in the first dense
+// layer and every conv bias shifted by biasShift: a negative shift
+// makes the ReLU'd head input mostly exact zeros, a positive one
+// makes it mostly nonzero.
+func streamHeadNet(t *testing.T, window int, cols [][2]int, filters, kernel, pool, hidden int, biasShift float64, rng *rand.Rand) *Network {
 	t.Helper()
 	stacks := make([][]Layer, len(cols))
 	total := 0
 	for i, c := range cols {
 		conv := NewConv1D(c[1]-c[0], filters, kernel, rng)
 		for f := range conv.Bias.W.Data() {
-			conv.Bias.W.Data()[f] = rng.NormFloat64() * 0.1
+			conv.Bias.W.Data()[f] = rng.NormFloat64()*0.1 + biasShift
 		}
 		stacks[i] = []Layer{conv, NewReLU(), NewMaxPool1D(pool)}
 		convT := window - kernel + 1
@@ -27,11 +36,46 @@ func streamTestNet(t *testing.T, window int, cols [][2]int, filters, kernel, poo
 	}
 	return NewNetwork(
 		NewBranch(cols, stacks),
-		NewDense(total, 16, rng),
+		NewDense(total, hidden, rng),
 		NewReLU(),
-		NewDense(16, 1, rng),
+		NewDense(hidden, 1, rng),
 		NewSigmoid(),
 	)
+}
+
+// rowMajorHead evaluates net's head over the concat vector cat at
+// width S through the row-major kernels and the layer-wise
+// activations, with weights lowered row-major: the compiled head's
+// oracle at S=float32, where no Network.Predict exists.
+func rowMajorHead[S tensor.Scalar](net *Network, cat []S) float64 {
+	cur := cat
+	for _, l := range net.Layers[1:] {
+		out := make([]S, len(cur))
+		switch l := l.(type) {
+		case *Dense:
+			out = make([]S, l.Out)
+			matVecBias(out, cur, lowerCopy[S](l.Weight.W.Data()), lowerCopy[S](l.Bias.W.Data()), l.Out, l.In)
+		case *ReLU:
+			reluInto(out, cur)
+		case *Sigmoid:
+			sigmoidInto(out, cur)
+		case *Tanh:
+			tanhInto(out, cur)
+		default:
+			copy(out, cur)
+		}
+		cur = out
+	}
+	return float64(cur[0])
+}
+
+// zeroRow zeroes each value of row with probability p.
+func zeroRow(rng *rand.Rand, row []float64, p float64) {
+	for c := range row {
+		if rng.Float64() < p {
+			row[c] = 0
+		}
+	}
 }
 
 // assembleRebased builds the batch input the detector would score: the
@@ -67,9 +111,12 @@ func pushRandomRow(rng *rand.Rand, inCh int) []float64 {
 // rebased (batch-form) branches, partial pool tails, small rings,
 // filter counts that leave ragged SIMD lane tiles, conv windows
 // (Kernel·InCh) from 1 up to the lane kernels' limit of 31, and one
-// window of 33 that pins the row-major fallback. At f64 the batch side
-// is Network.Predict, whose Conv1D.Forward runs the independent
-// row-major kernel; the f32 streamer is held to its own BatchScore.
+// window of 33 that pins the row-major fallback, and heads whose widths
+// are not multiples of 4 or 8 over inputs that keep the f64 head in its
+// sparse or its dense order. At f64 the batch side is
+// Network.Predict, whose Conv1D.Forward and Dense.Forward run the
+// independent row-major kernels; the f32 streamer is held to its own
+// BatchScore, and its head to the row-major f32 kernels.
 func TestStreamerBitIdenticalToPredict(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -79,22 +126,37 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 		filters      int
 		kernel, pool int
 		rebase       []int
+		// Head shape and input: hidden units (16 when 0), the
+		// probability an input value is zeroed, the conv bias shift,
+		// and the f64 head order ("sparse" or "dense") some compared
+		// stride must reach ("" when either is fine).
+		hidden    int
+		zeroFrac  float64
+		biasShift float64
+		headOrder string
 	}{
-		{"paper-cnn", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}},
-		{"accel-only", 40, 20, [][2]int{{0, 3}}, 9, 8, 5, 2, nil},
-		{"partial-tail", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 8, 4, 2, nil},
-		{"pool3", 30, 6, [][2]int{{0, 3}}, 3, 8, 5, 3, nil},
-		{"no-stream-all-rebased", 20, 4, [][2]int{{0, 2}}, 2, 8, 3, 2, []int{0}},
-		{"ragged-filters-7", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 7, 5, 2, []int{5}},
-		{"ragged-filters-12", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil},
-		{"kc-1", 20, 4, [][2]int{{0, 1}, {1, 2}}, 2, 5, 1, 2, []int{1}},
-		{"kc-30", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 16, 10, 2, []int{5}},
-		{"kc-33-row-major", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 6, 11, 4, []int{5}},
+		{"paper-cnn", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 0, 0, 0, ""},
+		{"accel-only", 40, 20, [][2]int{{0, 3}}, 9, 8, 5, 2, nil, 0, 0, 0, ""},
+		{"partial-tail", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 8, 4, 2, nil, 0, 0, 0, ""},
+		{"pool3", 30, 6, [][2]int{{0, 3}}, 3, 8, 5, 3, nil, 0, 0, 0, ""},
+		{"no-stream-all-rebased", 20, 4, [][2]int{{0, 2}}, 2, 8, 3, 2, []int{0}, 0, 0, 0, ""},
+		{"ragged-filters-7", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 7, 5, 2, []int{5}, 0, 0, 0, ""},
+		{"ragged-filters-12", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil, 0, 0, 0, ""},
+		{"kc-1", 20, 4, [][2]int{{0, 1}, {1, 2}}, 2, 5, 1, 2, []int{1}, 0, 0, 0, ""},
+		{"kc-30", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 16, 10, 2, []int{5}, 0, 0, 0, ""},
+		{"kc-33-row-major", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 6, 11, 4, []int{5}, 0, 0, 0, ""},
+		{"head-13-mostly-zero", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 13, 0.9, -0.5, "sparse"},
+		{"head-37-dense", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 37, 0, 1, "dense"},
+		{"head-70-ragged", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil, 70, 0.3, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			net := streamTestNet(t, tc.window, tc.cols, tc.filters, tc.kernel, tc.pool, rng)
+			hidden := tc.hidden
+			if hidden == 0 {
+				hidden = 16
+			}
+			net := streamHeadNet(t, tc.window, tc.cols, tc.filters, tc.kernel, tc.pool, hidden, tc.biasShift, rng)
 			cfg := StreamConfig{InCh: tc.inCh, Window: tc.window, Step: tc.step, RebaseCols: tc.rebase}
 			st, err := NewStreamer(net, cfg)
 			if err != nil {
@@ -107,8 +169,10 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 			row32 := make([]float32, tc.inCh)
 			var rows [][]float64
 			compared := 0
+			orders := map[string]bool{}
 			for i := 0; i < 5*tc.window; i++ {
 				row := pushRandomRow(rng, tc.inCh)
+				zeroRow(rng, row, tc.zeroFrac)
 				rows = append(rows, row)
 				st.Push(row)
 				for c, v := range row {
@@ -127,13 +191,31 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 					t.Fatalf("row %d: incremental %x (%.17g), batch %x (%.17g)",
 						len(rows), math.Float64bits(got), got, math.Float64bits(want), want)
 				}
-				if got, want := st32.Score(), st32.BatchScore(); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("row %d: f32 incremental %.9g, f32 batch %.9g", len(rows), got, want)
+				zeros := 0
+				for _, v := range st.cat {
+					if v == 0 {
+						zeros++
+					}
+				}
+				if zeros >= len(st.cat)/8 {
+					orders["sparse"] = true
+				} else {
+					orders["dense"] = true
+				}
+				got32 := st32.Score()
+				if want := rowMajorHead(net, st32.cat); math.Float64bits(got32) != math.Float64bits(want) {
+					t.Fatalf("row %d: f32 head %.9g, row-major f32 head %.9g", len(rows), got32, want)
+				}
+				if want := st32.BatchScore(); math.Float64bits(got32) != math.Float64bits(want) {
+					t.Fatalf("row %d: f32 incremental %.9g, f32 batch %.9g", len(rows), got32, want)
 				}
 				compared++
 			}
 			if compared == 0 {
 				t.Fatal("no strides compared")
+			}
+			if tc.headOrder != "" && !orders[tc.headOrder] {
+				t.Fatalf("no stride ran the f64 head in its %s order (saw %v)", tc.headOrder, orders)
 			}
 		})
 	}
@@ -299,5 +381,45 @@ func TestProgramSharedByStreamers(t *testing.T) {
 				t.Fatalf("stream %d row %d: incremental %.17g, batch %.17g", k, len(rows[k]), got, want)
 			}
 		}
+	}
+}
+
+// TestLaneWeightsShared: programs compiled from one network share its
+// wide head layer's lane copy at each width while the weights are
+// unchanged; a weight changed after compiling gives the next program
+// a fresh copy and leaves the earlier program's copy as it was.
+func TestLaneWeightsShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	net := streamHeadNet(t, 40, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 8, 5, 2, simd.HeadTileF32, 0, rng)
+	cfg := StreamConfig{InCh: 9, Window: 40, Step: 20, RebaseCols: []int{8}}
+	checkLaneWeightsShared[float64](t, net, cfg)
+	checkLaneWeightsShared[float32](t, net, cfg)
+}
+
+func checkLaneWeightsShared[S tensor.Scalar](t *testing.T, net *Network, cfg StreamConfig) {
+	t.Helper()
+	compile := func() []S {
+		p, err := CompileOf[S](net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.head[0].lanes {
+			t.Fatal("first head layer not compiled for the lane kernels")
+		}
+		return p.head[0].w
+	}
+	a, b := compile(), compile()
+	if &a[0] != &b[0] {
+		t.Fatal("two compilations of an unchanged network hold separate head copies")
+	}
+	w := net.Layers[1].(*Dense).Weight.W.Data()
+	before := a[0]
+	w[0] += 1
+	c := compile()
+	if &c[0] == &a[0] || math.Float64bits(float64(a[0])) != math.Float64bits(float64(before)) {
+		t.Fatal("a weight changed after compiling reached an earlier program or was not recompiled")
+	}
+	if math.Float64bits(float64(c[0])) != math.Float64bits(float64(S(w[0]))) {
+		t.Fatalf("recompiled head weight %v, want %v", c[0], S(w[0]))
 	}
 }

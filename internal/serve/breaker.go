@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cascade"
@@ -19,18 +20,14 @@ import (
 // The breaker is owned by the session worker; it is not concurrency-
 // safe on its own.
 type breaker struct {
-	window  []time.Duration
-	scratch []float64
-	pos, n  int
-	level   int
-	calm    int
+	window []time.Duration
+	pos, n int
+	level  int
+	calm   int
 }
 
 func newBreaker(window int) breaker {
-	return breaker{
-		window:  make([]time.Duration, window),
-		scratch: make([]float64, 0, window),
-	}
+	return breaker{window: make([]time.Duration, window)}
 }
 
 // ceiling maps a breaker level to the cascade tier ceiling it imposes.
@@ -45,29 +42,34 @@ func breakerCeiling(level int) cascade.Tier {
 	}
 }
 
-// p99 computes the 99th-percentile latency over the current window.
-// The window is small (tens of entries) and the scratch buffer is
-// reused, so an in-place insertion sort keeps this allocation-free on
-// the serving path.
+// p99 returns the nearest-rank 99th percentile of the window: the
+// ⌈0.99n⌉-th smallest latency, which is the (n−⌈0.99n⌉+1)-th largest.
+// That rank from the top is small — 1, the window max, for any window
+// below 100 entries — so p99 selects it directly: each pass finds the
+// largest value below the previous pass's, with its multiplicity,
+// until the rank is covered. No copy, no sort, no allocation.
 func (b *breaker) p99() time.Duration {
-	b.scratch = b.scratch[:0]
-	for i := 0; i < b.n; i++ {
-		b.scratch = append(b.scratch, float64(b.window[i]))
+	w := b.window[:b.n]
+	if len(w) == 0 {
+		return 0
 	}
-	for i := 1; i < len(b.scratch); i++ {
-		v := b.scratch[i]
-		j := i - 1
-		for j >= 0 && b.scratch[j] > v {
-			b.scratch[j+1] = b.scratch[j]
-			j--
+	rank := len(w) - (99*len(w)+99)/100 + 1
+	var top time.Duration
+	for pass := 0; rank > 0; pass++ {
+		below, count := top, 0
+		top = math.MinInt64
+		for _, v := range w {
+			switch {
+			case pass > 0 && v >= below:
+			case v > top:
+				top, count = v, 1
+			case v == top:
+				count++
+			}
 		}
-		b.scratch[j+1] = v
+		rank -= count
 	}
-	idx := (99*len(b.scratch) + 99) / 100 // ceil(0.99·n)
-	if idx > len(b.scratch) {
-		idx = len(b.scratch)
-	}
-	return time.Duration(b.scratch[idx-1])
+	return top
 }
 
 // observe records one decision latency and returns the (possibly

@@ -6,9 +6,17 @@ import (
 	"repro/internal/imu"
 )
 
-// entry is one ingress ring slot: a single data sample or a run of
-// missing samples, plus the shed debt accumulated in front of it.
+// entry is one ingress ring slot: a record plus the deadline its
+// decision is due by.
 type entry struct {
+	record
+	deadline time.Time
+}
+
+// record is a single data sample or a run of missing samples, plus
+// the shed debt accumulated in front of it: everything replay reads of
+// an entry, and all the session's replay log keeps of it.
+type record struct {
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
 	acc, gyro imu.Vec3
 	// missing, when > 0, makes this a gap entry of that many raw
@@ -21,14 +29,11 @@ type entry struct {
 	// load exactly as a sensor dropout of the same length.
 	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
 	shedBefore int
-	// deadline is when this entry's decision is due.
-	//fallvet:derived replay-log entry held in memory between snapshots and replayed live; never serialised
-	deadline time.Time
 }
 
-// raw is the number of raw stream samples this entry advances the
+// raw is the number of raw stream samples this record advances the
 // pipeline by, shed debt included.
-func (e entry) raw() int {
+func (e record) raw() int {
 	if e.missing > 0 {
 		return e.shedBefore + e.missing
 	}

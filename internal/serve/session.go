@@ -46,7 +46,7 @@ type Session struct {
 	snapImg   []byte // last good snapshot (nil before the first)
 	snapSpare []byte // retired snapshot buffer, reused for the next
 	snapPos   uint64 // pos at which snapImg was captured
-	replayLog []entry
+	replayLog []record
 	sinceSnap int
 	//fallvet:derived host-local latency history, rebuilt from live decision timings after a restore
 	brk breaker
@@ -85,7 +85,7 @@ func newSession(id int, p Pipeline, cfg Config) *Session {
 	}
 	s.idle = sync.NewCond(&s.mu)
 	if cfg.SnapshotEvery > 0 {
-		s.replayLog = make([]entry, 0, cfg.SnapshotEvery)
+		s.replayLog = make([]record, 0, cfg.SnapshotEvery)
 	}
 	go s.run()
 	return s
@@ -96,7 +96,7 @@ func newSession(id int, p Pipeline, cfg Config) *Session {
 // It returns false — and counts the sample as shed — once the session
 // is closed or shed.
 func (s *Session) Push(acc, gyro imu.Vec3) bool {
-	return s.enqueue(entry{acc: acc, gyro: gyro}, 1)
+	return s.enqueue(entry{record: record{acc: acc, gyro: gyro}}, 1)
 }
 
 // PushMissing enqueues a run of n samples the stream failed to
@@ -105,7 +105,7 @@ func (s *Session) PushMissing(n int) bool {
 	if n <= 0 {
 		return true
 	}
-	return s.enqueue(entry{missing: n}, n)
+	return s.enqueue(entry{record: record{missing: n}}, n)
 }
 
 func (s *Session) enqueue(e entry, raw int) bool {
@@ -287,16 +287,18 @@ func (s *Session) commit(e entry, out appliedOut, start time.Time) {
 	raw := e.raw()
 	s.pos.Add(uint64(raw))
 	if s.cfg.SnapshotEvery > 0 {
-		s.replayLog = append(s.replayLog, e)
+		s.replayLog = append(s.replayLog, e.record)
 		s.sinceSnap += raw
 	}
-	now := s.cfg.Now()
 	evaluated := out.main.Evaluated || (out.hasShed && out.shed.Evaluated)
 	if out.hasShed {
 		s.emit(out.shed)
 	}
 	s.emit(out.main)
 	if evaluated {
+		// Only a decision is timed: the clock is read here, not per
+		// entry.
+		now := s.cfg.Now()
 		if now.After(e.deadline) {
 			s.deadlineMissed.Add(1)
 		}
