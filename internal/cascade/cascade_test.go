@@ -303,3 +303,53 @@ func TestTierString(t *testing.T) {
 		t.Fatal("tier names")
 	}
 }
+
+// TestThresholdFloorProbabilitiesPinned pins the probabilities the
+// threshold floor decides with, bit for bit, on a stream of quiet
+// wear, free fall, whole missing strides and free fall again. The
+// floor scores only when it decides, so its probability must be the
+// one an every-sample score would have reported at that sample.
+func TestThresholdFloorProbabilitiesPinned(t *testing.T) {
+	c := newTestCascade(t, testCfg)
+	c.SetTierCeiling(TierThreshold)
+	want := []uint64{
+		0x3fae00be6348f268, 0x3fb03e837602f4eb, 0x3fad59982982f743, // quiet
+		0x3fee61e341cfd3cf, 0x3feffe968dd58ec1, // free fall
+		0x3fb36b7112534847, 0x3fb36b7112534847, 0x3fb36b7112534847, 0x3fb36b7112534847, // PushMissing(Step)
+		0x3feffff82f4698c9, // free fall
+	}
+	var got []uint64
+	record := func(d Decision) {
+		if !d.Evaluated {
+			return
+		}
+		if d.Tier != TierThreshold {
+			t.Fatalf("decision %d from %v under a threshold ceiling", len(got), d.Tier)
+		}
+		got = append(got, math.Float64bits(d.Probability))
+	}
+	for i := 0; i < 60; i++ {
+		acc, gyro := quiet(i)
+		record(c.Push(acc, gyro))
+	}
+	for i := 0; i < 40; i++ {
+		_, gyro := quiet(i)
+		record(c.Push(imu.Vec3{X: 0.1, Z: 0.25}, gyro))
+	}
+	for i := 0; i < 4; i++ {
+		record(c.PushMissing(c.Step()))
+	}
+	for i := 0; i < 30; i++ {
+		_, gyro := quiet(i)
+		record(c.Push(imu.Vec3{Z: 0.3}, gyro))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d floor decisions, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("decision %d: probability %#016x (%g), want %#016x (%g)",
+				i, got[i], math.Float64frombits(got[i]), want[i], math.Float64frombits(want[i]))
+		}
+	}
+}

@@ -146,7 +146,6 @@ var hotpathCoverage = map[string]string{
 	"internal/nn.reluInto":         nnAlloc,
 	"internal/nn.sigmoidInto":      nnAlloc,
 	"internal/nn.tanhInto":         nnAlloc,
-	"internal/nn.matVecBiasReLU":   streamAlloc,
 	"internal/nn.maxInto":          streamAlloc,
 	"internal/nn.matVecBiasWide":   nnAlloc,
 	"internal/nn.matVecBiasSparse": nnAlloc,

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/nn/simd"
+	"repro/internal/tensor"
 )
 
 // The conv row kernels must reproduce, bit for bit, the per-output
-// order the row-major kernels define: simd.MatVecBiasF32Ref plus the
-// ReLU clamp at f32, and matVecBiasReLU's narrow path at f64 — with
-// MaxPool1D's strict-`>` running max on top in fold mode. Each case
-// compares the dispatched kernel (assembly on amd64, the portable
-// reference under purego or elsewhere), the portable reference and
-// that existing order by Float32bits/Float64bits.
+// order the row-major kernel defines at either width — matVecBias's
+// narrow path plus the ReLU clamp — with MaxPool1D's strict-`>` running
+// max on top in fold mode. Each case compares the dispatched kernel
+// (assembly on amd64, the portable reference under purego or
+// elsewhere), the generic portable reference and the row-major kernel
+// by their bits, at float64 and float32.
 
 // testInf is a variable so the NaN below is computed at run time.
 var testInf = math.Inf(1)
@@ -91,7 +92,7 @@ func drawConvRow(rng *rand.Rand, gen func(*rand.Rand) float64, bias, old func(*r
 
 // mergeWant applies the ReLU clamp and, in fold mode, the strict-`>`
 // running max to an unclamped row-major result.
-func mergeWant[S float32 | float64](row, old []S, fold bool) {
+func mergeWant[S tensor.Scalar](row, old []S, fold bool) {
 	for f, v := range row {
 		if v <= 0 {
 			v = 0
@@ -105,7 +106,7 @@ func mergeWant[S float32 | float64](row, old []S, fold bool) {
 
 // convRowOut runs kern on dst = copy(old) with eight sentinel slots
 // past the filters, and fails if a store lands past dst[filters-1].
-func convRowOut[S float32 | float64](t *testing.T, old []S, kern func(dst []S)) []S {
+func convRowOut[S tensor.Scalar](t *testing.T, old []S, kern func(dst []S)) []S {
 	t.Helper()
 	n := len(old)
 	buf := make([]S, n+8)
@@ -122,17 +123,25 @@ func convRowOut[S float32 | float64](t *testing.T, old []S, kern func(dst []S)) 
 	return buf[:n]
 }
 
+// bitsOf returns v's IEEE bits at its own width.
+func bitsOf[S tensor.Scalar](v S) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
+}
+
 func TestConvRowKernels(t *testing.T) {
 	for _, rg := range convRowRegimes {
 		t.Run(rg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(91))
-			for _, filters := range []int{1, 3, 4, 6, 8, 12, 16, 24} {
+			for _, filters := range []int{1, 3, 4, 6, 8, 12, 16, 24, 31, 40} {
 				for cols := 1; cols < 32; cols++ {
 					for _, fold := range []bool{false, true} {
 						for trial := 0; trial < 3; trial++ {
 							c := drawConvRow(rng, rg.x, rg.bias, rg.old, filters, cols)
-							checkConvRowF64(t, c, filters, cols, fold)
-							checkConvRowF32(t, c, filters, cols, fold)
+							checkConvRow(t, c, filters, cols, fold, simd.ConvRowF64)
+							checkConvRow(t, c, filters, cols, fold, simd.ConvRowF32)
 						}
 					}
 				}
@@ -141,47 +150,25 @@ func TestConvRowKernels(t *testing.T) {
 	}
 }
 
-func checkConvRowF64(t *testing.T, c convRowCase, filters, cols int, fold bool) {
+// checkConvRow runs one case at width S, with every input rounded to
+// S, through kern, simd.ConvRowRef and matVecBias.
+func checkConvRow[S tensor.Scalar](t *testing.T, c convRowCase, filters, cols int, fold bool, kern func(dst, x, wT, b []S, filters, cols int, fold bool)) {
 	t.Helper()
-	got := convRowOut(t, c.old, func(dst []float64) {
-		simd.ConvRowF64(dst, c.x, c.wT, c.b, filters, cols, fold)
+	w, wT, x, b, old := lowerCopy[S](c.w), lowerCopy[S](c.wT), lowerCopy[S](c.x), lowerCopy[S](c.b), lowerCopy[S](c.old)
+	got := convRowOut(t, old, func(dst []S) {
+		kern(dst, x, wT, b, filters, cols, fold)
 	})
-	ref := convRowOut(t, c.old, func(dst []float64) {
-		simd.ConvRowF64Ref(dst, c.x, c.wT, c.b, filters, cols, fold)
+	ref := convRowOut(t, old, func(dst []S) {
+		simd.ConvRowRef(dst, x, wT, b, filters, cols, fold)
 	})
-	want := make([]float64, filters)
-	matVecBiasReLU(want, c.x, c.w, c.b, filters, cols)
-	mergeWant(want, c.old, fold)
+	want := make([]S, filters)
+	matVecBias(want, x, w, b, filters, cols)
+	mergeWant(want, old, fold)
 	for f := range want {
-		g, r, w := math.Float64bits(got[f]), math.Float64bits(ref[f]), math.Float64bits(want[f])
+		g, r, w := bitsOf(got[f]), bitsOf(ref[f]), bitsOf(want[f])
 		if g != w || r != w {
-			t.Fatalf("f64 filters=%d cols=%d fold=%v filter %d: kernel %#x, ref %#x, row-major %#x",
-				filters, cols, fold, f, g, r, w)
-		}
-	}
-}
-
-func checkConvRowF32(t *testing.T, c convRowCase, filters, cols int, fold bool) {
-	t.Helper()
-	w32 := lowerCopy[float32](c.w)
-	wT32 := lowerCopy[float32](c.wT)
-	x32 := lowerCopy[float32](c.x)
-	b32 := lowerCopy[float32](c.b)
-	old32 := lowerCopy[float32](c.old)
-	got := convRowOut(t, old32, func(dst []float32) {
-		simd.ConvRowF32(dst, x32, wT32, b32, filters, cols, fold)
-	})
-	ref := convRowOut(t, old32, func(dst []float32) {
-		simd.ConvRowF32Ref(dst, x32, wT32, b32, filters, cols, fold)
-	})
-	want := make([]float32, filters)
-	simd.MatVecBiasF32Ref(want, x32, w32, b32, filters, cols)
-	mergeWant(want, old32, fold)
-	for f := range want {
-		g, r, w := math.Float32bits(got[f]), math.Float32bits(ref[f]), math.Float32bits(want[f])
-		if g != w || r != w {
-			t.Fatalf("f32 filters=%d cols=%d fold=%v filter %d: kernel %#x, ref %#x, row-major %#x",
-				filters, cols, fold, f, g, r, w)
+			t.Fatalf("%T filters=%d cols=%d fold=%v filter %d: kernel %#x, ref %#x, row-major %#x",
+				want[f], filters, cols, fold, f, g, r, w)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package nn
 
 import (
 	"math"
+	"unsafe"
 
-	"repro/internal/nn/simd"
 	"repro/internal/tensor"
 )
 
@@ -35,43 +35,17 @@ func transposeCopy[S tensor.Scalar](src []float64, rows, cols int) []S {
 	return out
 }
 
-// headCopy returns the weights of a head Dense layer for the head lane
-// kernels: the row-major [rows × cols] matrix src transposed to one
-// row of rows values per input column, rounded at S=float32. At
-// float64 row i holds column i; at float32 the rows follow
-// simd.HeadRowF32's class-grouped order.
-func headCopy[S tensor.Scalar](src []float64, rows, cols int) []S {
-	out := make([]S, len(src))
+// transposeMatches reports whether wT equals transposeCopy(src, rows,
+// cols) bit for bit.
+func transposeMatches[S tensor.Scalar](wT []S, src []float64, rows, cols int) bool {
 	for c := 0; c < cols; c++ {
-		row := out[headRow[S](c, cols)*rows:][:rows]
-		for o := range row {
-			row[o] = S(src[o*cols+c])
-		}
-	}
-	return out
-}
-
-// headMatches reports whether wT equals headCopy(src, rows, cols) bit
-// for bit.
-func headMatches[S tensor.Scalar](wT []S, src []float64, rows, cols int) bool {
-	for c := 0; c < cols; c++ {
-		row := wT[headRow[S](c, cols)*rows:][:rows]
-		for o, v := range row {
-			if math.Float64bits(float64(v)) != math.Float64bits(float64(S(src[o*cols+c]))) {
+		for r, v := range wT[c*rows : (c+1)*rows] {
+			if math.Float64bits(float64(v)) != math.Float64bits(float64(S(src[r*cols+c]))) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// headRow returns the row of headCopy's layout that holds input column
-// c of a cols-wide layer at width S.
-func headRow[S tensor.Scalar](c, cols int) int {
-	if tensor.Is64[S]() {
-		return c
-	}
-	return simd.HeadRowF32(c, cols)
 }
 
 // reluInto writes max(v, 0) element-wise — ReLU.Forward's exact clamp
@@ -108,4 +82,25 @@ func tanhInto[S tensor.Scalar](dst, x []S) {
 	for i, v := range x {
 		dst[i] = S(math.Tanh(float64(v)))
 	}
+}
+
+// f64s reinterprets a scalar slice as []float64, for the simd kernel
+// calls guarded by tensor.Is64[S] (branchStreamOf.convInto,
+// headStepOf.denseInto).
+func f64s[S tensor.Scalar](s []S) []float64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&s[0])), len(s))
+}
+
+// f32s reinterprets a scalar slice as []float32. Callers guard with
+// !tensor.Is64[S], so S is float32 and this is the identity view; the
+// float64 instantiation compiles but is unreachable. No allocation —
+// unsafe.Slice builds a header over the existing backing array.
+func f32s[S tensor.Scalar](s []S) []float32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&s[0])), len(s))
 }

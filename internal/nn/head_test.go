@@ -6,17 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/nn/simd"
+	"repro/internal/tensor"
 )
 
 // The head kernels must reproduce, bit for bit, the per-output order
-// of the row-major layer kernels they replace on the streaming head:
-// matVecBiasWide (with its matVecBiasSparse mode) at f64 and
-// simd.MatVecBiasF32Ref at f32, each followed by the ReLU clamp when
-// it is fused. Each case compares the dispatched kernel (assembly on
-// amd64, the portable reference under purego or elsewhere), the
-// portable reference and the row-major kernel by
-// Float64bits/Float32bits, over transposed weights built the way
-// compileHead builds them.
+// of the row-major layer kernels they replace on the streaming head —
+// matVecBiasWide, with its matVecBiasSparse mode — followed by the ReLU
+// clamp when it is fused, at either width. Each case compares the
+// dispatched kernel (assembly on amd64, the portable reference under
+// purego or elsewhere), the generic portable reference and the
+// row-major kernel by their bits, at float64 and float32, over
+// transposed weights built the way compileHead builds them.
 
 // headZeroCounts place the exact-zero inputs: none; one below, exactly
 // at and one above the f64 kernels' 1/8 switch to the sparse order;
@@ -92,12 +92,12 @@ func TestHeadKernels(t *testing.T) {
 		for _, hv := range headValues {
 			t.Run(zc.name+"/"+hv.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(93))
-				for _, rows := range []int{1, 3, 4, 5, 8, 9, 31, 32, 33, 64} {
+				for _, rows := range []int{1, 3, 4, 5, 8, 9, 31, 32, 33, 64, 65, 100} {
 					for _, cols := range []int{1, 15, 16, 17, 31, 32, 33, 35, 47, 48, 100, 288, 864, simd.MaxSparseCols + 1} {
 						c := drawHead(rng, hv.x, hv.bias, rows, cols, zc.zeros(cols))
 						for _, relu := range []bool{false, true} {
-							checkHeadF64(t, c, rows, cols, relu)
-							checkHeadF32(t, c, rows, cols, relu)
+							checkHead(t, c, rows, cols, relu, simd.HeadF64)
+							checkHead(t, c, rows, cols, relu, simd.HeadF32)
 						}
 					}
 				}
@@ -107,7 +107,7 @@ func TestHeadKernels(t *testing.T) {
 }
 
 // clampWant applies the ReLU clamp to a row-major result.
-func clampWant[S float32 | float64](row []S, relu bool) {
+func clampWant[S tensor.Scalar](row []S, relu bool) {
 	for o, v := range row {
 		if relu && v <= 0 {
 			row[o] = 0
@@ -117,7 +117,7 @@ func clampWant[S float32 | float64](row []S, relu bool) {
 
 // unset fills the outputs before a kernel runs, so an output it never
 // stores shows up as a mismatch.
-func unset[S float32 | float64](rows int) []S {
+func unset[S tensor.Scalar](rows int) []S {
 	out := make([]S, rows)
 	for o := range out {
 		out[o] = 777
@@ -125,45 +125,26 @@ func unset[S float32 | float64](rows int) []S {
 	return out
 }
 
-func checkHeadF64(t *testing.T, c headCase, rows, cols int, relu bool) {
+// checkHead runs one case at width S, with every input rounded to S,
+// through kern, simd.HeadRef and matVecBiasWide.
+func checkHead[S tensor.Scalar](t *testing.T, c headCase, rows, cols int, relu bool, kern func(dst, x, wT, b []S, rows, cols int, relu bool)) {
 	t.Helper()
-	wT := headCopy[float64](c.w, rows, cols)
-	got := convRowOut(t, unset[float64](rows), func(dst []float64) {
-		simd.HeadF64(dst, c.x, wT, c.b, rows, cols, relu)
+	w, x, b := lowerCopy[S](c.w), lowerCopy[S](c.x), lowerCopy[S](c.b)
+	wT := transposeCopy[S](c.w, rows, cols)
+	got := convRowOut(t, unset[S](rows), func(dst []S) {
+		kern(dst, x, wT, b, rows, cols, relu)
 	})
-	ref := convRowOut(t, unset[float64](rows), func(dst []float64) {
-		simd.HeadF64Ref(dst, c.x, wT, c.b, rows, cols, relu)
+	ref := convRowOut(t, unset[S](rows), func(dst []S) {
+		simd.HeadRef(dst, x, wT, b, rows, cols, relu)
 	})
-	want := make([]float64, rows)
-	matVecBiasWide(want, c.x, c.w, c.b, rows, cols)
+	want := make([]S, rows)
+	matVecBiasWide(want, x, w, b, rows, cols)
 	clampWant(want, relu)
 	for o := range want {
-		g, r, w := math.Float64bits(got[o]), math.Float64bits(ref[o]), math.Float64bits(want[o])
+		g, r, w := bitsOf(got[o]), bitsOf(ref[o]), bitsOf(want[o])
 		if g != w || r != w {
-			t.Fatalf("f64 rows=%d cols=%d relu=%v output %d: kernel %#x, ref %#x, row-major %#x",
-				rows, cols, relu, o, g, r, w)
-		}
-	}
-}
-
-func checkHeadF32(t *testing.T, c headCase, rows, cols int, relu bool) {
-	t.Helper()
-	w32, x32, b32 := lowerCopy[float32](c.w), lowerCopy[float32](c.x), lowerCopy[float32](c.b)
-	wT := headCopy[float32](c.w, rows, cols)
-	got := convRowOut(t, unset[float32](rows), func(dst []float32) {
-		simd.HeadF32(dst, x32, wT, b32, rows, cols, relu)
-	})
-	ref := convRowOut(t, unset[float32](rows), func(dst []float32) {
-		simd.HeadF32Ref(dst, x32, wT, b32, rows, cols, relu)
-	})
-	want := make([]float32, rows)
-	simd.MatVecBiasF32Ref(want, x32, w32, b32, rows, cols)
-	clampWant(want, relu)
-	for o := range want {
-		g, r, w := math.Float32bits(got[o]), math.Float32bits(ref[o]), math.Float32bits(want[o])
-		if g != w || r != w {
-			t.Fatalf("f32 rows=%d cols=%d relu=%v output %d: kernel %#x, ref %#x, row-major %#x",
-				rows, cols, relu, o, g, r, w)
+			t.Fatalf("%T rows=%d cols=%d relu=%v output %d: kernel %#x, ref %#x, row-major %#x",
+				want[o], rows, cols, relu, o, g, r, w)
 		}
 	}
 }
@@ -175,14 +156,14 @@ func BenchmarkHead(b *testing.B) {
 	const rows, cols = 64, 864
 	c := drawHead(rand.New(rand.NewSource(94)), headValues[0].x, headValues[0].bias, rows, cols, cols/4)
 	b.Run("f64", func(b *testing.B) {
-		wT, dst := headCopy[float64](c.w, rows, cols), make([]float64, rows)
+		wT, dst := transposeCopy[float64](c.w, rows, cols), make([]float64, rows)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			simd.HeadF64(dst, c.x, wT, c.b, rows, cols, true)
 		}
 	})
 	b.Run("f32", func(b *testing.B) {
-		wT, dst := headCopy[float32](c.w, rows, cols), make([]float32, rows)
+		wT, dst := transposeCopy[float32](c.w, rows, cols), make([]float32, rows)
 		x, bias := lowerCopy[float32](c.x), lowerCopy[float32](c.b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -19,23 +19,24 @@ import (
 // Bit-identity contract: for a given cols, every output is computed
 // as bias + the same fixed grouping of products in ascending input
 // order — independent of which lane of the 4-wide block produced it,
-// of rows, and of the caller. The batch and streaming paths therefore
-// produce bit-identical results (asserted by TestMatVecBiasLaneUniform
-// and the stream equivalence tests), because a conv row computed alone
-// at a stride goes through exactly the arithmetic a full batch pass
-// applies to it. The streaming engine's narrow conv rows run the
-// filter-major simd conv row kernels instead (branchStreamOf.convInto),
-// which follow the same per-output order as the narrow path here, one
+// of rows, of the caller and of the scalar width. The batch and
+// streaming paths therefore produce bit-identical results (asserted by
+// TestMatVecBiasLaneUniform and the stream equivalence tests), because
+// a conv row computed alone at a stride goes through exactly the
+// arithmetic a full batch pass applies to it. The streaming engine's
+// conv rows run the filter-major simd conv row kernels instead
+// (branchStreamOf.convInto), which follow the narrow order here, one
 // filter per SIMD lane (DESIGN.md §12.2), and its wide head layers the
 // output-lane simd head kernels (headStepOf.denseInto), which follow
 // matVecBiasWide's and matVecBiasSparse's orders, one output per lane.
+// These Go kernels are the row-major definition of both orders at
+// float32 and float64 alike.
 //
-// The float32 instantiation never reaches the scalar bodies below:
-// every entry kernel dispatches it to the SIMD path, whose
-// (different, SIMD-lane) summation order is defined and documented in
-// internal/nn/simd. The same contract holds there — each output a
-// fixed function of (weight row, x, bias), order a pure function of
-// cols — so batch/stream bit-identity is preserved per width.
+// Every product is pinned as S(a*b). The Go spec lets a compiler fuse
+// x*y + z into one rounding unless the product is explicitly
+// converted, and gc does fuse on arm64; the explicit conversion keeps
+// every architecture on one multiply and one add, as the simd kernels
+// and their references are.
 
 // matVecBias computes dst[o] = b[o] + Σ_i w[o·cols+i]·x[i] for
 // o < rows. It is the whole inner loop of Dense.Forward (rows=Out,
@@ -49,11 +50,6 @@ import (
 //
 //fallvet:hotpath
 func matVecBias[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
-	if !tensor.Is64[S]() {
-		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBiasF32(f32s(dst), f32s(x), f32s(w), f32s(b), rows, cols)
-		return
-	}
 	if cols >= 32 {
 		matVecBiasWide(dst, x, w, b, rows, cols)
 		return
@@ -68,17 +64,17 @@ func matVecBias[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 		i := 0
 		for ; i+2 <= cols; i += 2 {
 			v0, v1 := x[i], x[i+1]
-			s0 += r0[i]*v0 + r0[i+1]*v1
-			s1 += r1[i]*v0 + r1[i+1]*v1
-			s2 += r2[i]*v0 + r2[i+1]*v1
-			s3 += r3[i]*v0 + r3[i+1]*v1
+			s0 += S(r0[i]*v0) + S(r0[i+1]*v1)
+			s1 += S(r1[i]*v0) + S(r1[i+1]*v1)
+			s2 += S(r2[i]*v0) + S(r2[i+1]*v1)
+			s3 += S(r3[i]*v0) + S(r3[i+1]*v1)
 		}
 		for ; i < cols; i++ {
 			v := x[i]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
+			s0 += S(r0[i] * v)
+			s1 += S(r1[i] * v)
+			s2 += S(r2[i] * v)
+			s3 += S(r3[i] * v)
 		}
 		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
 	}
@@ -87,87 +83,10 @@ func matVecBias[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 		s := b[o]
 		i := 0
 		for ; i+2 <= cols; i += 2 {
-			s += row[i]*x[i] + row[i+1]*x[i+1]
+			s += S(row[i]*x[i]) + S(row[i+1]*x[i+1])
 		}
 		for ; i < cols; i++ {
-			s += row[i] * x[i]
-		}
-		dst[o] = s
-	}
-}
-
-// matVecBiasReLU is matVecBias with the ReLU clamp folded into the
-// stores: the finished sum is clamped exactly as ReLU.Forward clamps
-// (v ≤ 0 becomes 0, NaN propagates — the comparison is false), so the
-// result is identical to matVecBias followed by the ReLU layer without
-// re-reading the output row.
-//
-//fallvet:hotpath
-func matVecBiasReLU[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
-	if !tensor.Is64[S]() {
-		d := f32s(dst)
-		//fallvet:ignore hottrans simd.MatVecBiasF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing
-		simd.MatVecBiasF32(d, f32s(x), f32s(w), f32s(b), rows, cols)
-		reluF32(d[:rows])
-		return
-	}
-	if cols >= 32 {
-		matVecBiasWide(dst, x, w, b, rows, cols)
-		for o, v := range dst[:rows] {
-			if v <= 0 {
-				dst[o] = 0
-			}
-		}
-		return
-	}
-	o := 0
-	for ; o+4 <= rows; o += 4 {
-		r0 := w[(o+0)*cols : (o+1)*cols]
-		r1 := w[(o+1)*cols : (o+2)*cols]
-		r2 := w[(o+2)*cols : (o+3)*cols]
-		r3 := w[(o+3)*cols : (o+4)*cols]
-		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			v0, v1 := x[i], x[i+1]
-			s0 += r0[i]*v0 + r0[i+1]*v1
-			s1 += r1[i]*v0 + r1[i+1]*v1
-			s2 += r2[i]*v0 + r2[i+1]*v1
-			s3 += r3[i]*v0 + r3[i+1]*v1
-		}
-		for ; i < cols; i++ {
-			v := x[i]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
-		}
-		if s0 <= 0 {
-			s0 = 0
-		}
-		if s1 <= 0 {
-			s1 = 0
-		}
-		if s2 <= 0 {
-			s2 = 0
-		}
-		if s3 <= 0 {
-			s3 = 0
-		}
-		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
-	}
-	for ; o < rows; o++ {
-		row := w[o*cols : (o+1)*cols]
-		s := b[o]
-		i := 0
-		for ; i+2 <= cols; i += 2 {
-			s += row[i]*x[i] + row[i+1]*x[i+1]
-		}
-		for ; i < cols; i++ {
-			s += row[i] * x[i]
-		}
-		if s <= 0 {
-			s = 0
+			s += S(row[i] * x[i])
 		}
 		dst[o] = s
 	}
@@ -221,17 +140,17 @@ func matVecBiasWide[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 		i := 0
 		for ; i+4 <= cols; i += 4 {
 			v0, v1, v2, v3 := x[i], x[i+1], x[i+2], x[i+3]
-			s0 += (r0[i]*v0 + r0[i+1]*v1) + (r0[i+2]*v2 + r0[i+3]*v3)
-			s1 += (r1[i]*v0 + r1[i+1]*v1) + (r1[i+2]*v2 + r1[i+3]*v3)
-			s2 += (r2[i]*v0 + r2[i+1]*v1) + (r2[i+2]*v2 + r2[i+3]*v3)
-			s3 += (r3[i]*v0 + r3[i+1]*v1) + (r3[i+2]*v2 + r3[i+3]*v3)
+			s0 += (S(r0[i]*v0) + S(r0[i+1]*v1)) + (S(r0[i+2]*v2) + S(r0[i+3]*v3))
+			s1 += (S(r1[i]*v0) + S(r1[i+1]*v1)) + (S(r1[i+2]*v2) + S(r1[i+3]*v3))
+			s2 += (S(r2[i]*v0) + S(r2[i+1]*v1)) + (S(r2[i+2]*v2) + S(r2[i+3]*v3))
+			s3 += (S(r3[i]*v0) + S(r3[i+1]*v1)) + (S(r3[i+2]*v2) + S(r3[i+3]*v3))
 		}
 		for ; i < cols; i++ {
 			v := x[i]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
+			s0 += S(r0[i] * v)
+			s1 += S(r1[i] * v)
+			s2 += S(r2[i] * v)
+			s3 += S(r3[i] * v)
 		}
 		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
 	}
@@ -240,10 +159,10 @@ func matVecBiasWide[S tensor.Scalar](dst, x, w, b []S, rows, cols int) {
 		s := b[o]
 		i := 0
 		for ; i+4 <= cols; i += 4 {
-			s += (row[i]*x[i] + row[i+1]*x[i+1]) + (row[i+2]*x[i+2] + row[i+3]*x[i+3])
+			s += (S(row[i]*x[i]) + S(row[i+1]*x[i+1])) + (S(row[i+2]*x[i+2]) + S(row[i+3]*x[i+3]))
 		}
 		for ; i < cols; i++ {
-			s += row[i] * x[i]
+			s += S(row[i] * x[i])
 		}
 		dst[o] = s
 	}
@@ -273,14 +192,14 @@ func matVecBiasSparse[S tensor.Scalar](dst, x, w, b []S, rows, cols int, nz []in
 		for _, ii := range nz {
 			i := int(ii)
 			v := x[i]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
-			s4 += r4[i] * v
-			s5 += r5[i] * v
-			s6 += r6[i] * v
-			s7 += r7[i] * v
+			s0 += S(r0[i] * v)
+			s1 += S(r1[i] * v)
+			s2 += S(r2[i] * v)
+			s3 += S(r3[i] * v)
+			s4 += S(r4[i] * v)
+			s5 += S(r5[i] * v)
+			s6 += S(r6[i] * v)
+			s7 += S(r7[i] * v)
 		}
 		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
 		dst[o+4], dst[o+5], dst[o+6], dst[o+7] = s4, s5, s6, s7
@@ -290,7 +209,7 @@ func matVecBiasSparse[S tensor.Scalar](dst, x, w, b []S, rows, cols int, nz []in
 		s := b[o]
 		for _, ii := range nz {
 			i := int(ii)
-			s += row[i] * x[i]
+			s += S(row[i] * x[i])
 		}
 		dst[o] = s
 	}

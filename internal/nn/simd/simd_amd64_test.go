@@ -16,7 +16,7 @@ func TestConvRowWithoutAVX(t *testing.T) {
 		t.Skip("host has no AVX: every run already takes the reference path")
 	}
 	rng := rand.New(rand.NewSource(5))
-	const filters, cols = 13, 15
+	const filters, cols = 29, 15
 	x32, wT32, b32 := make([]float32, cols), make([]float32, cols*filters), make([]float32, filters)
 	x64, wT64, b64 := make([]float64, cols), make([]float64, cols*filters), make([]float64, filters)
 	for i := range wT64 {
@@ -58,7 +58,7 @@ func TestHeadWithoutAVX(t *testing.T) {
 		t.Skip("host has no AVX: every run already takes the reference path")
 	}
 	rng := rand.New(rand.NewSource(6))
-	const rows, cols = 37, 100
+	const rows, cols = 100, 100
 	x32, wT32, b32 := make([]float32, cols), make([]float32, cols*rows), make([]float32, rows)
 	x64, wT64, b64 := make([]float64, cols), make([]float64, cols*rows), make([]float64, rows)
 	for i := range wT64 {

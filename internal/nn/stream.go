@@ -23,10 +23,8 @@ import (
 // snapshot of the checkpoint at both widths. Each conv branch's
 // weights are filter-major ([Kernel·InCh × Filters]) so the conv row
 // kernels read one column of filters at a time. Each wide head Dense
-// layer (In ≥ 32; at S=float32 also Out ≥ simd.HeadTileF32) is
-// transposed to one row of Out weights per input
-// column ([In × Out]; at S=float32 with the superblock columns grouped
-// by partial class, see simd.HeadRowF32) so the head kernels keep one
+// layer (In ≥ 32) is transposed the same way, to one row of Out
+// weights per input column ([In × Out]), so the head kernels keep one
 // output per SIMD lane and skip the rows of exact-zero inputs; that
 // copy is shared by every program compiled from the unchanged layer
 // (laneWeights).
@@ -70,9 +68,10 @@ type ProgramOf[S tensor.Scalar] struct {
 // kernels' order lane by lane), the result is bit-identical to
 // Network.Predict on the assembled window at S=float64, not merely
 // close. At S=float32 the same order contract makes the f32 streaming
-// and f32 batch paths bit-identical to each other, with the f64
-// oracle agreement proven statistically by the precision harness
-// rather than bit-for-bit.
+// and f32 batch paths bit-identical to each other and to the
+// row-major kernels run at float32, with the f64 oracle agreement
+// proven statistically by the precision harness rather than
+// bit-for-bit.
 //
 // Branches whose input columns the caller re-bases per window (the
 // detector subtracts the window-initial yaw from the Euler channels)
@@ -134,7 +133,8 @@ const (
 // (optionally with their following ReLU folded in) run straight
 // through the kernels into a stream-owned buffer: wide ones (In ≥ 32)
 // through the simd head kernels, one output per lane, narrow ones
-// through the row-major micro-kernels (see lanes). Lone activations run through
+// through the row-major matVecBias and, with a folded ReLU, reluInto
+// (see lanes). Lone activations run through
 // the generic element-wise helpers, which at float64 evaluate exactly
 // the layer objects' expressions. Flatten is the identity on the 1-D
 // head and compiles to no step at all. Every step therefore produces
@@ -143,14 +143,13 @@ const (
 // float32 a complete head with no float64 layer objects in the loop.
 type headStepOf[S tensor.Scalar] struct {
 	op      headOp
-	relu    bool // headDense: fold the following ReLU into the kernel's stores
+	relu    bool // headDense: apply the following ReLU to the outputs
 	out, in int  // headDense dimensions
-	// headDense parameters, copied at compilation. Steps that run the
-	// head lane kernels hold w transposed (headCopy, shared by the
-	// programs of an unchanged layer); the others hold it row-major,
-	// [Out × In], for matVecBias: narrow layers (In < 32), whose f64
-	// order the lanes do not follow, and f32 layers with fewer outputs
-	// than a register tile.
+	// headDense parameters, copied at compilation. Wide layers (In ≥
+	// 32) run the head lane kernels and hold w transposed
+	// (transposeCopy, shared by the programs of an unchanged layer);
+	// narrow ones hold it row-major, [Out × In], for matVecBias, whose
+	// narrow order the lanes do not follow.
 	lanes bool
 	w, b  []S
 	width int // step output length
@@ -171,12 +170,8 @@ type branchProgOf[S tensor.Scalar] struct {
 	fullPool int // complete pool rows per window = convT/pool
 	tailLo   int // window-relative conv row where the partial pool tail starts (== convT when none)
 
-	// Conv parameters, copied at compilation. Narrow windows
-	// (Kernel·InCh < 32) hold wgt filter-major, [Kernel·InCh ×
-	// Filters], for the simd conv row kernels. Wide windows hold it
-	// row-major, [Filters × Kernel·InCh], for matVecBiasReLU, whose
-	// wide order does not fit in the filter lanes.
-	wide      bool
+	// Conv parameters, copied at compilation: wgt filter-major,
+	// [Kernel·InCh × Filters], for the simd conv row kernels.
 	wgt, bias []S
 }
 
@@ -197,9 +192,7 @@ type branchStreamOf[S tensor.Scalar] struct {
 	// pool multiple only the running max needs each row, and the conv
 	// row kernel folds it into rmax directly; with a partial pool tail
 	// the gather must re-read the newest conv rows, so a full
-	// [convT × Filters] ring is kept. crow is the one-row scratch a
-	// wide branch folds through.
-	crow     []S
+	// [convT × Filters] ring is kept.
 	convRing []S
 	aslot    int // convRing slot of the next conv row (wraps at convT)
 
@@ -246,13 +239,14 @@ func NewStreamerOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*StreamerOf
 // be a Branch whose every stack is exactly Conv1D→ReLU→MaxPool1D,
 // followed by a dense head (Dense/ReLU/Sigmoid/Tanh/Flatten layers
 // only) — the shape of every CNN this repo builds. Other topologies
-// (MLP, recurrent, other branch stacks) return an error; callers fall
+// (MLP, recurrent, other branch stacks, conv windows Kernel·InCh ≥ 32
+// too wide for the conv row kernels) return an error; callers fall
 // back to batch scoring, which is bit-identical at float64.
 //
 // Every parameter is copied here at both widths: the conv weights
-// transposed to filter-major order for the conv row kernels, the wide
-// head Dense weights transposed for the head kernels (one copy per
-// layer and width while the layer is unchanged). The program is a
+// and the wide head Dense weights transposed for the conv row and
+// head kernels (one head copy per layer and width while the layer is
+// unchanged). The program is a
 // frozen snapshot of the checkpoint — training net afterwards changes
 // no program compiled from it — which is how the deployment target
 // consumes a model anyway.
@@ -314,7 +308,7 @@ func CompileOf[S tensor.Scalar](net *Network, cfg StreamConfig) (*ProgramOf[S], 
 
 // compileHead precompiles the validated head layers into headSteps:
 // Dense layers run through the head or micro-kernels (a ReLU directly
-// after a Dense folds into its stores), lone activations through the
+// after a Dense folds into its step), lone activations through the
 // generic element-wise helpers, and Flatten — the identity on the 1-D
 // head — compiles away entirely.
 func (p *ProgramOf[S]) compileHead(layers []Layer) {
@@ -324,10 +318,7 @@ func (p *ProgramOf[S]) compileHead(layers []Layer) {
 		case *Dense:
 			st := headStepOf[S]{
 				op: headDense, out: l.Out, in: l.In, width: l.Out,
-				// The f64 lanes beat the scalar row-major kernel at
-				// any Out; the f32 ones need a full register tile to
-				// beat the SIMD row-major kernel.
-				lanes: l.In >= 32 && (tensor.Is64[S]() || l.Out >= simd.HeadTileF32),
+				lanes: l.In >= 32,
 				b:     lowerCopy[S](l.Bias.W.Data()),
 			}
 			if st.lanes {
@@ -355,8 +346,8 @@ func (p *ProgramOf[S]) compileHead(layers []Layer) {
 	}
 }
 
-// laneWeights returns d's weights laid out for the head lane kernels
-// at width S (headCopy). Every program compiled from d while its
+// laneWeights returns d's weights transposed for the head lane kernels
+// at width S (transposeCopy). Every program compiled from d while its
 // weights are unchanged shares one copy, so a caller that compiles one
 // program per stream pays for its rings, not for another copy of the
 // head. A cached copy is reused
@@ -370,15 +361,17 @@ func laneWeights[S tensor.Scalar](d *Dense) []S {
 	}
 	d.lanesMu.Lock()
 	defer d.lanesMu.Unlock()
-	if w, ok := d.lanes[i].([]S); ok && headMatches(w, d.Weight.W.Data(), d.Out, d.In) {
+	if w, ok := d.lanes[i].([]S); ok && transposeMatches(w, d.Weight.W.Data(), d.Out, d.In) {
 		return w
 	}
-	w := headCopy[S](d.Weight.W.Data(), d.Out, d.In)
+	w := transposeCopy[S](d.Weight.W.Data(), d.Out, d.In)
 	d.lanes[i] = w
 	return w
 }
 
-// compileBranch compiles one branch's stack over columns [lo, hi). The
+// compileBranch compiles one branch's stack over columns [lo, hi). Its
+// conv window Kernel·InCh must be below 32, the conv row kernels'
+// limit; every CNN this repo builds reads 3 channels over 5 rows. The
 // branch streams when none of its columns are re-based per window and
 // the stride keeps window starts on the pooling grid (Step divisible
 // by Pool); otherwise it is recomputed per decision in fused row-wise
@@ -412,6 +405,9 @@ func (p *ProgramOf[S]) compileBranch(lo, hi int, stack []Layer) (branchProgOf[S]
 		}
 	}
 	kc := conv.Kernel * w
+	if kc >= 32 {
+		return branchProgOf[S]{}, fmt.Errorf("conv window of %d values (kernel %d × %d channels) exceeds the conv row kernels' 31", kc, conv.Kernel, w)
+	}
 	b := branchProgOf[S]{
 		lo: lo, hi: hi,
 		flat:     shape[0] * shape[1],
@@ -420,13 +416,8 @@ func (p *ProgramOf[S]) compileBranch(lo, hi int, stack []Layer) (branchProgOf[S]
 		pool:     mp.Pool,
 		convT:    convT,
 		fullPool: convT / mp.Pool,
-		wide:     kc >= 32,
+		wgt:      transposeCopy[S](conv.Weight.W.Data(), conv.Filters, kc),
 		bias:     lowerCopy[S](conv.Bias.W.Data()),
-	}
-	if b.wide {
-		b.wgt = lowerCopy[S](conv.Weight.W.Data())
-	} else {
-		b.wgt = transposeCopy[S](conv.Weight.W.Data(), conv.Filters, kc)
 	}
 	b.tailLo = b.fullPool * mp.Pool
 	rebased := false
@@ -455,9 +446,6 @@ func (p *ProgramOf[S]) NewStreamer() *StreamerOf[S] {
 		// Every batch form (including BatchScore on streaming
 		// branches) assembles the window here.
 		b.in = make([]S, p.window*w)
-		if g.wide {
-			b.crow = make([]S, g.filters)
-		}
 		if g.batch {
 			continue
 		}
@@ -631,32 +619,23 @@ func (b *branchStreamOf[S]) pushConv(s *StreamerOf[S], a int) {
 
 // convInto computes the ReLU'd conv row over input window x into dst:
 // stored, or with fold merged into dst as the pool's running max (dst[f]
-// = v > dst[f] ? v : dst[f], MaxPool1D's strict `>`). Narrow windows run
-// the simd conv row kernel at S's width: filter-major weights, every
-// filter in its own SIMD lane, each lane following the per-output order
-// of matVecBiasReLU's narrow path at that width exactly — so the row is
-// bit-identical to the row-major kernel's (DESIGN.md §12.2). Wide
-// windows compute the row-major row and fold it from crow.
+// = v > dst[f] ? v : dst[f], MaxPool1D's strict `>`). It runs the simd
+// conv row kernel at S's width: filter-major weights, every filter in
+// its own SIMD lane, each lane following the per-output order of
+// matVecBias's narrow path exactly — so the row is bit-identical to the
+// row-major kernel's followed by the ReLU clamp (DESIGN.md §12.2).
 //
 //fallvet:hotpath
 func (b *branchStreamOf[S]) convInto(dst, x []S, fold bool) {
 	F := b.filters
 	kc := b.kernel * (b.hi - b.lo)
-	switch {
-	case b.wide:
-		if !fold {
-			matVecBiasReLU(dst, x, b.wgt, b.bias, F, kc)
-			return
-		}
-		matVecBiasReLU(b.crow, x, b.wgt, b.bias, F, kc)
-		maxInto(dst, b.crow)
-	case tensor.Is64[S]():
-		//fallvet:ignore hottrans simd.ConvRowF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free ConvRowF64Ref)
+	if tensor.Is64[S]() {
+		//fallvet:ignore hottrans simd.ConvRowF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free generic reference)
 		simd.ConvRowF64(f64s(dst), f64s(x), f64s(b.wgt), f64s(b.bias), F, kc, fold)
-	default:
-		//fallvet:ignore hottrans simd.ConvRowF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free ConvRowF32Ref)
-		simd.ConvRowF32(f32s(dst), f32s(x), f32s(b.wgt), f32s(b.bias), F, kc, fold)
+		return
 	}
+	//fallvet:ignore hottrans simd.ConvRowF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free generic reference)
+	simd.ConvRowF32(f32s(dst), f32s(x), f32s(b.wgt), f32s(b.bias), F, kc, fold)
 }
 
 // maxInto folds row into the running max dst with MaxPool1D's strict
@@ -755,24 +734,26 @@ func (s *StreamerOf[S]) runHead(cur []S) S {
 // denseInto computes a Dense step, with its folded ReLU, over x into
 // dst. Lane steps run the head kernel at S's width: transposed
 // weights, every output in its own SIMD lane following the per-output
-// order of the row-major kernel at that width exactly, with the
-// exact-zero inputs skipped wherever that order allows — so the step
-// is bit-identical to Dense.Forward at S=float64 and to the row-major
-// f32 kernel at S=float32 (DESIGN.md §12.1). The other steps run the
-// row-major kernels themselves.
+// order of the row-major kernel exactly, with the exact-zero inputs
+// skipped wherever that order allows — so the step is bit-identical to
+// the row-major kernel at either width, and to Dense.Forward at
+// S=float64 (DESIGN.md §12.1). Narrow steps run the row-major kernel
+// itself, then the ReLU clamp, which gives the same bits as clamping
+// each sum as it is stored.
 //
 //fallvet:hotpath
 func (st *headStepOf[S]) denseInto(dst, x []S) {
 	switch {
-	case !st.lanes && st.relu:
-		matVecBiasReLU(dst, x, st.w, st.b, st.out, st.in)
 	case !st.lanes:
 		matVecBias(dst, x, st.w, st.b, st.out, st.in)
+		if st.relu {
+			reluInto(dst, dst)
+		}
 	case tensor.Is64[S]():
-		//fallvet:ignore hottrans simd.HeadF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free HeadF64Ref, with AVX its NOSPLIT body headF64AVX, whose scratch is its own frame)
+		//fallvet:ignore hottrans simd.HeadF64 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free generic reference, with AVX its NOSPLIT body headF64AVX, whose scratch is its own frame)
 		simd.HeadF64(f64s(dst), f64s(x), f64s(st.w), f64s(st.b), st.out, st.in, st.relu)
 	default:
-		//fallvet:ignore hottrans simd.HeadF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free HeadF32Ref, with AVX its body headF32AVX, whose scratch is its own frame)
+		//fallvet:ignore hottrans simd.HeadF32 is a NOSPLIT assembly leaf with no body to analyze; it allocates nothing (without AVX it tail-calls the alloc-free generic reference, with AVX its NOSPLIT body headF32AVX, whose scratch is its own frame)
 		simd.HeadF32(f32s(dst), f32s(x), f32s(st.w), f32s(st.b), st.out, st.in, st.relu)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/nn/simd"
 	"repro/internal/tensor"
 )
 
@@ -44,9 +43,10 @@ func streamHeadNet(t *testing.T, window int, cols [][2]int, filters, kernel, poo
 }
 
 // rowMajorHead evaluates net's head over the concat vector cat at
-// width S through the row-major kernels and the layer-wise
+// width S through the generic row-major kernels and the layer-wise
 // activations, with weights lowered row-major: the compiled head's
-// oracle at S=float32, where no Network.Predict exists.
+// oracle at S=float32, where no Network.Predict exists. It shares no
+// code with the simd head kernels the compiled head runs.
 func rowMajorHead[S tensor.Scalar](net *Network, cat []S) float64 {
 	cur := cat
 	for _, l := range net.Layers[1:] {
@@ -110,13 +110,15 @@ func pushRandomRow(rng *rand.Rand, inCh int) []float64 {
 // stride and requires bit-equality, across geometries that exercise
 // rebased (batch-form) branches, partial pool tails, small rings,
 // filter counts that leave ragged SIMD lane tiles, conv windows
-// (Kernel·InCh) from 1 up to the lane kernels' limit of 31, and one
-// window of 33 that pins the row-major fallback, and heads whose widths
-// are not multiples of 4 or 8 over inputs that keep the f64 head in its
-// sparse or its dense order. At f64 the batch side is
+// (Kernel·InCh) from 1 up to the lane kernels' limit of 31, and heads
+// whose widths are not multiples of 4 or 8 over inputs that keep the
+// head in its sparse or its dense order. At f64 the batch side is
 // Network.Predict, whose Conv1D.Forward and Dense.Forward run the
 // independent row-major kernels; the f32 streamer is held to its own
-// BatchScore, and its head to the row-major f32 kernels.
+// BatchScore, and its head to the generic row-major kernels at f32. A
+// conv window of 33 is too wide for the conv row kernels: compilation
+// refuses it at both widths and the network scores in batch form
+// through the row-major Conv1D.Forward.
 func TestStreamerBitIdenticalToPredict(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -134,20 +136,22 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 		zeroFrac  float64
 		biasShift float64
 		headOrder string
+		// refused: the stream must not compile; the batch form scores.
+		refused bool
 	}{
-		{"paper-cnn", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 0, 0, 0, ""},
-		{"accel-only", 40, 20, [][2]int{{0, 3}}, 9, 8, 5, 2, nil, 0, 0, 0, ""},
-		{"partial-tail", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 8, 4, 2, nil, 0, 0, 0, ""},
-		{"pool3", 30, 6, [][2]int{{0, 3}}, 3, 8, 5, 3, nil, 0, 0, 0, ""},
-		{"no-stream-all-rebased", 20, 4, [][2]int{{0, 2}}, 2, 8, 3, 2, []int{0}, 0, 0, 0, ""},
-		{"ragged-filters-7", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 7, 5, 2, []int{5}, 0, 0, 0, ""},
-		{"ragged-filters-12", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil, 0, 0, 0, ""},
-		{"kc-1", 20, 4, [][2]int{{0, 1}, {1, 2}}, 2, 5, 1, 2, []int{1}, 0, 0, 0, ""},
-		{"kc-30", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 16, 10, 2, []int{5}, 0, 0, 0, ""},
-		{"kc-33-row-major", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 6, 11, 4, []int{5}, 0, 0, 0, ""},
-		{"head-13-mostly-zero", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 13, 0.9, -0.5, "sparse"},
-		{"head-37-dense", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 37, 0, 1, "dense"},
-		{"head-70-ragged", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil, 70, 0.3, 0, ""},
+		{"paper-cnn", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 0, 0, 0, "", false},
+		{"accel-only", 40, 20, [][2]int{{0, 3}}, 9, 8, 5, 2, nil, 0, 0, 0, "", false},
+		{"partial-tail", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 8, 4, 2, nil, 0, 0, 0, "", false},
+		{"pool3", 30, 6, [][2]int{{0, 3}}, 3, 8, 5, 3, nil, 0, 0, 0, "", false},
+		{"no-stream-all-rebased", 20, 4, [][2]int{{0, 2}}, 2, 8, 3, 2, []int{0}, 0, 0, 0, "", false},
+		{"ragged-filters-7", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 7, 5, 2, []int{5}, 0, 0, 0, "", false},
+		{"ragged-filters-12", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil, 0, 0, 0, "", false},
+		{"kc-1", 20, 4, [][2]int{{0, 1}, {1, 2}}, 2, 5, 1, 2, []int{1}, 0, 0, 0, "", false},
+		{"kc-30", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 16, 10, 2, []int{5}, 0, 0, 0, "", false},
+		{"kc-33-row-major", 40, 20, [][2]int{{0, 3}, {3, 6}}, 6, 6, 11, 4, []int{5}, 0, 0, 0, "", true},
+		{"head-13-mostly-zero", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 13, 0.9, -0.5, "sparse", false},
+		{"head-37-dense", 40, 20, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 9, 8, 5, 2, []int{8}, 37, 0, 1, "dense", false},
+		{"head-70-ragged", 20, 2, [][2]int{{0, 2}, {2, 4}}, 4, 12, 4, 2, nil, 70, 0.3, 0, "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,6 +162,10 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 			}
 			net := streamHeadNet(t, tc.window, tc.cols, tc.filters, tc.kernel, tc.pool, hidden, tc.biasShift, rng)
 			cfg := StreamConfig{InCh: tc.inCh, Window: tc.window, Step: tc.step, RebaseCols: tc.rebase}
+			if tc.refused {
+				checkRefusedScoresInBatch(t, net, cfg, rng)
+				return
+			}
 			st, err := NewStreamer(net, cfg)
 			if err != nil {
 				t.Fatalf("NewStreamer: %v", err)
@@ -218,6 +226,35 @@ func TestStreamerBitIdenticalToPredict(t *testing.T) {
 				t.Fatalf("no stride ran the f64 head in its %s order (saw %v)", tc.headOrder, orders)
 			}
 		})
+	}
+}
+
+// checkRefusedScoresInBatch requires net to fail compilation for cfg at
+// both widths, and its batch form — Network.Predict, the fallback
+// every caller takes on that error — to score every stride of a random
+// stream with a probability, the same bits on a second call.
+func checkRefusedScoresInBatch(t *testing.T, net *Network, cfg StreamConfig, rng *rand.Rand) {
+	t.Helper()
+	if _, err := CompileOf[float64](net, cfg); err == nil {
+		t.Fatal("float64 compilation accepted the network")
+	}
+	if _, err := CompileOf[float32](net, cfg); err == nil {
+		t.Fatal("float32 compilation accepted the network")
+	}
+	var rows [][]float64
+	for i := 0; i < 3*cfg.Window; i++ {
+		rows = append(rows, pushRandomRow(rng, cfg.InCh))
+		if len(rows) < cfg.Window || (len(rows)-cfg.Window)%cfg.Step != 0 {
+			continue
+		}
+		win := assembleRebased(rows, cfg.Window, cfg.InCh, cfg.RebaseCols)
+		p := net.Predict(win)
+		if !(p >= 0 && p <= 1) {
+			t.Fatalf("row %d: batch score %v is not a probability", len(rows), p)
+		}
+		if again := net.Predict(win); math.Float64bits(again) != math.Float64bits(p) {
+			t.Fatalf("row %d: batch score %v, then %v", len(rows), p, again)
+		}
 	}
 }
 
@@ -390,7 +427,7 @@ func TestProgramSharedByStreamers(t *testing.T) {
 // a fresh copy and leaves the earlier program's copy as it was.
 func TestLaneWeightsShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	net := streamHeadNet(t, 40, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 8, 5, 2, simd.HeadTileF32, 0, rng)
+	net := streamHeadNet(t, 40, [][2]int{{0, 3}, {3, 6}, {6, 9}}, 8, 5, 2, 64, 0, rng)
 	cfg := StreamConfig{InCh: 9, Window: 40, Step: 20, RebaseCols: []int{8}}
 	checkLaneWeightsShared[float64](t, net, cfg)
 	checkLaneWeightsShared[float32](t, net, cfg)

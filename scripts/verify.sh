@@ -31,7 +31,16 @@
 #      streaming ≡ layer-forward tests then check the portable
 #      filter-major conv row kernel against the independent row-major
 #      Conv1D.Forward
-#   7. fuzz smoke            — 10 s each on the hostile-input fuzz
+#   7. arm64 fused-op guard  — the float kernels' summation orders are
+#      defined with every product rounded before it is added, and gc
+#      fuses x*y + z on arm64 unless the product is converted
+#      explicitly. The arm64 assembly of nn's row-major kernels
+#      (matVecBias*, at both widths, as instantiated by falldet) and of
+#      internal/nn/simd (the references) must contain no FMADD, FMSUB,
+#      FNMADD or FNMSUB, so streaming and batch agree bit for bit on
+#      every architecture. Fails too if those functions are missing
+#      from the listing, so the guard cannot pass vacuously
+#   8. fuzz smoke            — 10 s each on the hostile-input fuzz
 #      targets: FuzzQuantLoad (model-image loader must never panic or
 #      over-allocate on arbitrary bytes), FuzzDetectorPush (the
 #      streaming pipeline must survive arbitrary sensor input),
@@ -41,27 +50,27 @@
 #      bit-identical to full-window batch rescoring on arbitrary
 #      streams of wear, faults and gaps — the DESIGN §12 equivalence
 #      oracle)
-#   8. precision agreement   — the float32 path must agree with the
+#   9. precision agreement   — the float32 path must agree with the
 #      float64 path: the decision-agreement tests run the full
 #      fault-injection sweep at both widths by name, and
 #      FuzzPrecisionScore gets a 10 s smoke (arbitrary streams of
 #      wear, faults and gaps must keep the f32/f64 score gap inside
 #      the documented tolerance)
-#   9. cascade determinism   — the fault sweep over the cascade must be
+#  10. cascade determinism   — the fault sweep over the cascade must be
 #      bit-identical on 1 worker and 4 (run redundantly from the suite,
 #      but cheap and load-bearing enough to gate by name)
-#  10. soak smoke            — the serving-runtime chaos soak at CI
+#  11. soak smoke            — the serving-runtime chaos soak at CI
 #      size (16 streams, 2 injected mid-fall panics, burst/stall/
 #      jitter profiles, one crash-loop) via fallserve -check: zero
 #      missed deadlines on healthy sessions, bit-identical
 #      post-restore decision streams, goroutine-leak check clean,
 #      heap growth bounded
-#  11. perfbench self-tests  — `go ./...` skips underscore
+#  12. perfbench self-tests  — `go ./...` skips underscore
 #      directories, so the served-cascade benchmark module
 #      (_perfbench, its own go.mod) gets go vet and go test here, in
 #      the same isolated module environment _perfbench/run.sh builds
 #      it with (caches under .bench_build, GOWORK/GOENV off)
-#  12. bench gate            — scripts/bench.sh -short: the hot-path
+#  13. bench gate            — scripts/bench.sh -short: the hot-path
 #      benchmarks run briefly with -benchmem; the gate fails when a
 #      steady-state path that must be allocation-free (streaming push,
 #      quantized predict, cascade/serve push, warm snapshots) reports
@@ -93,6 +102,19 @@ go test -race ./...
 go test -race -count=10 -run='^TestCascadeStreamsConcurrent$' ./falldet
 echo "== portable kernels: go test -tags purego"
 go test -count=1 -tags purego ./internal/nn/... ./internal/edge ./internal/cascade
+echo "== arm64 fused-op guard: nn matVecBias* and internal/nn/simd"
+GOARCH=arm64 go build -gcflags='repro/...=-S' -o /dev/null ./falldet 2>&1 | awk '
+	/^[^ \t].*STEXT/ {
+		keep = $1 ~ /^repro\/internal\/nn\.matVecBias/ || $1 ~ /^repro\/internal\/nn\/simd\./
+		if (keep) seen[$1] = 1
+		next
+	}
+	keep && /[^A-Z](FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused: " $0; bad = 1 }
+	END {
+		for (f in seen) n++
+		if (n < 6) { print "only " n " guarded functions in the arm64 listing"; bad = 1 }
+		exit bad
+	}'
 echo "== fuzz smoke: FuzzQuantLoad (10s)"
 go test ./internal/quant -run='^$' -fuzz='^FuzzQuantLoad$' -fuzztime=10s
 echo "== fuzz smoke: FuzzDetectorPush (10s)"
